@@ -1,8 +1,9 @@
 // Measures the cost of the typed /v1 API surface: request parsing,
 // declarative schema validation, and table dispatch, versus the legacy
 // unversioned alias path (which shares the table but skips strict
-// validation). The acceptance bar for the API redesign is < 5% end-to-end
-// overhead for /v1/search over /search.
+// validation). The result cache is switched off, so every timed search
+// pays parse, validate, dispatch and the search itself — a repeated query
+// would otherwise time cache-hit round trips.
 //
 //   $ ./bench_api_dispatch
 //
@@ -47,6 +48,7 @@ int Run() {
   DblpDataset data = GenerateDblp(options);
 
   CExplorerServer server;
+  server.service().ConfigureResultCache(0);
   if (!server.UploadGraph(std::move(data.graph)).ok()) {
     std::printf("upload failed\n");
     return 1;
@@ -66,8 +68,7 @@ int Run() {
   const std::string v1_line = "GET /v1/search" + query;
 
   bench::Banner("API dispatch overhead",
-                "the declarative /v1 route table adds < 5% over the legacy "
-                "alias path");
+                "/v1/search vs the legacy /search alias, result cache off");
 
   const std::size_t n = graph.num_vertices();
   const std::size_t m = graph.graph().num_edges();
@@ -100,8 +101,7 @@ int Run() {
   bench::EmitJsonLine("api_dispatch_v1", n, m, 1, v1_ms);
 
   const double overhead = (v1_ms - legacy_ms) / legacy_ms * 100.0;
-  std::printf("\n/v1/search vs /search overhead: %+.2f%% (target < 5%%)\n",
-              overhead);
+  std::printf("\n/v1/search vs /search overhead: %+.2f%%\n", overhead);
   return 0;
 }
 

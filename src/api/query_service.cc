@@ -12,7 +12,6 @@
 #include "common/strings.h"
 #include "explorer/explorer.h"
 #include "metrics/quality.h"
-#include "shard/coordinator.h"
 
 namespace cexplorer {
 namespace api {
@@ -518,10 +517,10 @@ bool QueryService::InstallDataset(const DatasetPtr* expected, DatasetPtr fresh,
     dataset_ = std::move(fresh);
   }
   // Keys carry the epoch, so stale entries could never *hit*; clearing on a
-  // graph swap just stops them from occupying capacity. Index-only swaps
-  // and compactions keep the epoch and the cache stays warm. Because every
-  // install funnels through here, no consumer can ever observe a graph
-  // change (upload, snapshot load, or mutation) without its epoch change.
+  // graph swap just stops them from occupying capacity. Compactions keep
+  // the epoch and the cache stays warm. Because every install funnels
+  // through here, no consumer can ever observe a graph change (upload,
+  // snapshot load, or mutation) without its epoch change.
   if (!epoch_changed) return true;
   if (info == nullptr || !info->migratable || replaced == nullptr ||
       replaced->index().num_nodes() == 0) {
@@ -581,8 +580,8 @@ void QueryService::AttachLocked(RequestContext& ctx, bool adopt_newer,
     return;
   }
   if (ctx.dataset != nullptr && attached != ctx.dataset) {
-    // Caches derived from the same graph survive index-only swaps; a new
-    // graph epoch invalidates them.
+    // Caches derived from the same graph survive storage-only swaps
+    // (compaction); a new graph epoch invalidates them.
     const bool epoch_changed =
         attached == nullptr ||
         attached->graph_epoch() != ctx.dataset->graph_epoch();
@@ -1441,57 +1440,6 @@ ApiResult<std::string> QueryService::UploadFile(const DatasetRequest& request) {
   return w.TakeString();
 }
 
-ApiResult<std::string> QueryService::SaveIndex(const DatasetRequest& request) {
-  auto begun = Begin(request.session);
-  if (!begun.ok()) return begun.error();
-  RequestContext ctx = std::move(begun).value();
-  if (request.path.empty()) {
-    return ApiError::InvalidArgument("missing index path");
-  }
-  if (ctx.dataset == nullptr) {
-    return ApiError::Conflict("no graph uploaded");
-  }
-  Status st = ctx.dataset->SaveIndex(request.path);
-  if (!st.ok()) return FromStatus(st);
-  JsonWriter w = JsonWriter::Recycled();
-  w.BeginObject();
-  w.Key("saved");
-  w.String(request.path);
-  w.EndObject();
-  return w.TakeString();
-}
-
-ApiResult<std::string> QueryService::LoadIndex(const DatasetRequest& request) {
-  auto begun = Begin(request.session);
-  if (!begun.ok()) return begun.error();
-  RequestContext ctx = std::move(begun).value();
-  if (request.path.empty()) {
-    return ApiError::InvalidArgument("missing index path");
-  }
-  if (ctx.dataset == nullptr) {
-    return ApiError::Conflict("no graph uploaded");
-  }
-  // Deserialize against the current snapshot, then swap server-wide: the
-  // graph and core numbers are shared, only the index is replaced. The
-  // publish is conditional — if another upload landed meanwhile, installing
-  // an index for the old graph would silently revert it.
-  auto dataset = ctx.dataset->WithIndexFromFile(request.path);
-  if (!dataset.ok()) return FromStatus(dataset.status());
-  if (!PublishDataset(ctx, std::move(dataset.value()))) {
-    return ApiError::Conflict(
-        "dataset changed while the index was loading; retry");
-  }
-  AttachToSession(ctx, /*clear_history=*/false);
-  JsonWriter w = JsonWriter::Recycled();
-  w.BeginObject();
-  w.Key("loaded");
-  w.String(request.path);
-  w.Key("dataset_id");
-  w.UInt(ctx.dataset->id());
-  w.EndObject();
-  return w.TakeString();
-}
-
 ApiResult<std::string> QueryService::SnapshotSave(
     const DatasetRequest& request) {
   auto begun = Begin(request.session);
@@ -1539,9 +1487,9 @@ ApiResult<std::string> QueryService::SnapshotLoad(
     return ApiError::InvalidArgument("missing snapshot path");
   }
   // Map + validate outside all locks: queries keep flowing against the old
-  // snapshot until the CAS publish below. Unlike /load_index this installs
-  // a different *graph*, so it is published like an upload: sessions drop
-  // their dataset-derived caches on next attach.
+  // snapshot until the CAS publish below. This installs a different
+  // *graph*, so it is published like an upload: sessions drop their
+  // dataset-derived caches on next attach.
   auto dataset = Dataset::FromSnapshotFile(request.path);
   if (!dataset.ok()) return FromStatus(dataset.status());
   if (!PublishDataset(ctx, std::move(dataset.value()))) {
@@ -1714,43 +1662,6 @@ ApiResult<std::string> QueryService::Stats() {
   w.UInt(mutations.nodes_touched);
   w.Key("postings_patched");
   w.UInt(mutations.postings_patched);
-  w.EndObject();
-  // The sharded execution tier: the partition shape of the served dataset
-  // plus lifetime BSP counters. Always present (disabled + zeros when
-  // CEXPLORER_SHARDS <= 1) so clients can rely on the shape.
-  const std::uint32_t shard_count = shard::ConfiguredShards();
-  const shard::ShardTierStats shard_stats = shard::ShardStatsNow();
-  w.Key("shards");
-  w.BeginObject();
-  w.Key("enabled");
-  w.Bool(shard_count > 1);
-  w.Key("count");
-  w.UInt(shard_count);
-  w.Key("strategy");
-  w.String(shard::PartitionStrategyName(shard::ConfiguredStrategy()));
-  std::uint64_t boundary_vertices = 0;
-  std::uint64_t cut_edges = 0;
-  if (shard_count > 1 && snapshot != nullptr) {
-    const auto plan = snapshot->ShardedView(shard_count);
-    boundary_vertices = plan->boundary_vertices;
-    cut_edges = plan->cut_edges;
-  }
-  w.Key("boundary_vertices");
-  w.UInt(boundary_vertices);
-  w.Key("cut_edges");
-  w.UInt(cut_edges);
-  w.Key("queries");
-  w.UInt(shard_stats.queries);
-  w.Key("peels");
-  w.UInt(shard_stats.peels);
-  w.Key("messages_sent");
-  w.UInt(shard_stats.messages_sent);
-  w.Key("messages_received");
-  w.UInt(shard_stats.messages_received);
-  w.Key("supersteps");
-  w.UInt(shard_stats.supersteps);
-  w.Key("last_query_supersteps");
-  w.UInt(shard_stats.last_query_supersteps);
   w.EndObject();
   // Which kernel implementations this process resolved at startup, and the
   // posting storage of the live index — so a deploy can verify it actually

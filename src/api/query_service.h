@@ -23,7 +23,7 @@
 //
 // Concurrency model (inherited from the pre-split server, unchanged): the
 // served DatasetPtr is guarded by a shared_mutex — requests take a shared
-// lock just long enough to copy the pointer; Upload/LoadIndex build the
+// lock just long enough to copy the pointer; Upload/SnapshotLoad build the
 // replacement outside the lock and install it with a compare-and-swap
 // publish (kConflict for the loser). One request at a time per session;
 // different sessions run fully in parallel. Thread-safe throughout.
@@ -161,8 +161,6 @@ class QueryService {
   ApiResult<std::string> ExportSvg(const ExportRequest& request);
 
   ApiResult<std::string> UploadFile(const DatasetRequest& request);
-  ApiResult<std::string> SaveIndex(const DatasetRequest& request);
-  ApiResult<std::string> LoadIndex(const DatasetRequest& request);
 
   // --- Mutations (the dynamic-graph tier) ---------------------------------
 
@@ -227,7 +225,7 @@ class QueryService {
   ApiResult<RequestContext> Begin(const std::string& session_id);
 
   /// THE one epoch-bump path: every dataset install — programmatic swap,
-  /// /upload, /load_index, snapshot load, mutation publish, compaction —
+  /// /upload, snapshot load, mutation publish, compaction —
   /// funnels through here, so the result cache (and, via the epoch tag,
   /// every session cache) can never observe a graph change without the
   /// matching epoch change. With `expected` non-null this is a
@@ -241,7 +239,7 @@ class QueryService {
 
   bool SwapDataset(DatasetPtr dataset);
 
-  /// Compare-and-swap publish for Upload/LoadIndex: installs `fresh` only
+  /// Compare-and-swap publish for Upload/SnapshotLoad: installs `fresh` only
   /// if the served dataset is still the snapshot this request started
   /// from; otherwise returns false (the caller reports kConflict).
   bool PublishDataset(RequestContext& ctx, DatasetPtr fresh);

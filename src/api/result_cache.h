@@ -13,8 +13,8 @@
 // Carrying the graph epoch in the key is the invalidation rule: an /upload
 // bumps the epoch and every old entry simply stops matching (the service
 // additionally clears the cache on a graph swap so dead entries do not
-// occupy capacity). Index-only swaps (/load_index) keep the epoch, and the
-// cache stays warm — exactly like the session-level caches.
+// occupy capacity). Compactions (/v1/compact) keep the epoch, and the cache
+// stays warm — exactly like the session-level caches.
 //
 // Concurrency: the LRU is sharded by key hash; each shard serializes its
 // own map + recency list behind one mutex held only for the lookup/insert

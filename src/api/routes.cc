@@ -172,13 +172,6 @@ constexpr RouteSpec kRoutes[] = {
      "query-form population: degree constraints and keywords of an author"},
     {"export", "/export", kGet, kExportParams, 1,
      "cached community as an SVG document"},
-    // State-changing persistence routes are POST on /v1; the legacy
-    // aliases keep answering GET (with the Deprecation header) so pre-v1
-    // clients continue to work.
-    {"save_index", "/save_index", kPost, kPathParams, 1,
-     "persist the CL-tree (offline Indexing module)", kGet},
-    {"load_index", "/load_index", kPost, kPathParams, 1,
-     "swap in a saved CL-tree for the loaded graph", kGet},
     {"snapshot/save", "", kPost, kPathParams, 1,
      "write the served dataset (graph + cores + CL-tree) as one zero-copy "
      "binary snapshot file"},
@@ -409,14 +402,6 @@ std::string DescribeApi(
     if (route.methods & kMethodPost) w.String("POST");
     if (route.methods & kMethodDelete) w.String("DELETE");
     w.EndArray();
-    if (route.legacy_methods != 0 && route.legacy_methods != route.methods) {
-      w.Key("legacy_methods");
-      w.BeginArray();
-      if (route.legacy_methods & kMethodGet) w.String("GET");
-      if (route.legacy_methods & kMethodPost) w.String("POST");
-      if (route.legacy_methods & kMethodDelete) w.String("DELETE");
-      w.EndArray();
-    }
     w.Key("doc");
     w.String(route.doc);
     w.Key("params");
@@ -462,8 +447,6 @@ std::string DescribeApi(
     w.Bool(descriptor->caps.progress);
     w.Key("indexed");
     w.Bool(descriptor->caps.indexed);
-    w.Key("sharded");
-    w.Bool(descriptor->caps.sharded);
     w.EndObject();
     w.Key("params");
     w.BeginArray();

@@ -69,16 +69,8 @@ struct RouteSpec {
   const ParamSpec* params;
   std::size_t num_params;
   const char* doc;
-  /// Method mask honored on the legacy alias; 0 means "same as methods".
-  /// Lets a state-changing route move to POST on /v1 while its
-  /// unversioned alias keeps serving pre-v1 GET clients (who already
-  /// receive the Deprecation header on every response).
-  unsigned legacy_methods = 0;
 
   std::string V1Path() const { return std::string("/v1/") + name; }
-  unsigned LegacyMethods() const {
-    return legacy_methods != 0 ? legacy_methods : methods;
-  }
 };
 
 /// The full route table, in documentation order. `count` receives its size.

@@ -138,7 +138,7 @@ struct ExportRequest {
   std::int64_t id = 0;
 };
 
-/// /v1/upload, /v1/save_index, /v1/load_index — dataset administration.
+/// /v1/upload, /v1/snapshot/save, /v1/snapshot/load — dataset administration.
 struct DatasetRequest {
   std::string session;
   std::string path;

@@ -123,8 +123,8 @@ struct ClTreeRepairStats {
   std::size_t postings_patched = 0;
 };
 
-/// Mutable node used while a tree is under construction (the builders and
-/// the text deserializer); Finalize flattens these into the arena form.
+/// Mutable node used while a tree is under construction (the builders);
+/// Finalize flattens these into the arena form.
 struct ClTreeRawNode {
   std::uint32_t core = 0;
   ClNodeId parent = kInvalidClNode;
@@ -232,8 +232,8 @@ class ClTree {
 
   /// True when this tree was produced by RepairedFrom rather than Build /
   /// FromParts. Repaired trees answer every query identically but cannot
-  /// be serialized (their arenas belong to the original owner); the
-  /// snapshot path compacts (rebuilding the tree) first.
+  /// be written to a snapshot (their arenas belong to the original owner);
+  /// the snapshot path compacts (rebuilding the tree) first.
   bool is_repaired() const { return repair_depth_ > 0; }
 
   /// Number of RepairedFrom generations since the last full build.
@@ -316,14 +316,6 @@ class ClTree {
   /// Approximate heap footprint in bytes (structure + inverted lists).
   std::size_t MemoryBytes() const;
 
-  /// Serializes the tree structure (not the graph) to a text form.
-  std::string Serialize() const;
-
-  /// Restores a tree serialized by Serialize(). The same graph must be
-  /// supplied; only minimal consistency checks are performed.
-  static Result<ClTree> Deserialize(const AttributedGraph& g,
-                                    const std::string& text);
-
   /// Re-hydrates a tree from persisted records + borrowed arenas (the
   /// snapshot load path): validates every record's arena references, then
   /// materializes the node directory in a single allocation — no per-node
@@ -352,8 +344,8 @@ class ClTree {
 
   /// Replacement lists of one repaired node. The node's directory spans
   /// are re-pointed here, so every span-based reader (SubtreeVertices,
-  /// node().vertices, Serialize, the ACQ gathers) works unchanged; only
-  /// the arena-slot arithmetic of the posting kernels needs the patched
+  /// node().vertices, the ACQ gathers) works unchanged; only the
+  /// arena-slot arithmetic of the posting kernels needs the patched
   /// branch. Postings are stored raw in BOTH tree formats — a patch is a
   /// few lists, compression would buy nothing.
   struct NodePatch {

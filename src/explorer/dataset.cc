@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string_view>
 #include <utility>
 
@@ -11,7 +9,6 @@
 #include "common/rng.h"
 #include "core/kcore.h"
 #include "graph/io.h"
-#include "shard/partition.h"
 #include "snapshot/snapshot.h"
 
 namespace cexplorer {
@@ -64,10 +61,6 @@ Result<DatasetPtr> Dataset::Build(AttributedGraph graph) {
   g_index_builds.fetch_add(1, std::memory_order_relaxed);
   dataset->id_ = g_next_dataset_id.fetch_add(1, std::memory_order_relaxed);
   dataset->graph_epoch_ = dataset->id_;  // a fresh graph is a fresh epoch
-  // Partition at publish time so the first sharded query doesn't pay for
-  // the plan build.
-  const std::uint32_t shards = shard::ConfiguredShards();
-  if (shards > 1) dataset->ShardedView(shards);
   return DatasetPtr(std::move(dataset));
 }
 
@@ -87,11 +80,6 @@ DatasetPtr Dataset::WithIndex(ClTree index) const {
   dataset->index_ = std::move(index);
   dataset->id_ = g_next_dataset_id.fetch_add(1, std::memory_order_relaxed);
   dataset->graph_epoch_ = graph_epoch_;  // same graph, same epoch
-  {
-    // Same graph — the shard plans carry over instead of rebuilding.
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    dataset->shard_plans_ = shard_plans_;
-  }
   return DatasetPtr(std::move(dataset));
 }
 
@@ -111,8 +99,6 @@ Result<DatasetPtr> Dataset::FromSnapshotFile(const std::string& path) {
   // fresh epoch (session caches for the previous graph must not apply).
   dataset->id_ = g_next_dataset_id.fetch_add(1, std::memory_order_relaxed);
   dataset->graph_epoch_ = dataset->id_;
-  const std::uint32_t shards = shard::ConfiguredShards();
-  if (shards > 1) dataset->ShardedView(shards);
   return DatasetPtr(std::move(dataset));
 }
 
@@ -128,52 +114,13 @@ Status Dataset::SaveSnapshot(const std::string& path) const {
   return snapshot::WriteSnapshot(*graph_, core_span_, index_, path);
 }
 
-Result<DatasetPtr> Dataset::WithIndexFromFile(const std::string& path) const {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  auto tree = ClTree::Deserialize(*graph_, buffer.str());
-  if (!tree.ok()) return tree.status();
-  return WithIndex(std::move(tree.value()));
-}
-
 ExplorerContext Dataset::Context() const {
   ExplorerContext ctx;
   ctx.graph = graph_.get();
   ctx.index = &index_;
   ctx.core_numbers = core_span_;
   ctx.graph_epoch = graph_epoch_;
-  // The raw pointer is safe: ShardedView caches the plan for the
-  // dataset's lifetime, and the context contract already ties all view
-  // pointers to the dataset being alive.
-  const std::uint32_t shards = shard::ConfiguredShards();
-  if (shards > 1) ctx.shard_plan = ShardedView(shards).get();
   return ctx;
-}
-
-std::shared_ptr<const shard::ShardPlan> Dataset::ShardedView(
-    std::uint32_t num_shards) const {
-  const shard::PartitionStrategy strategy = shard::ConfiguredStrategy();
-  const std::uint64_t key = (static_cast<std::uint64_t>(num_shards) << 8) |
-                            static_cast<std::uint8_t>(strategy);
-  {
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    for (const auto& [cached_key, plan] : shard_plans_) {
-      if (cached_key == key) return plan;
-    }
-  }
-  // Build outside the lock so concurrent first calls for distinct shard
-  // counts don't serialize; a racing duplicate for the same key loses to
-  // the published winner below.
-  auto plan = std::make_shared<const shard::ShardPlan>(
-      shard::Partitioner::Build(graph_->graph(), num_shards, strategy));
-  std::lock_guard<std::mutex> lock(shard_mu_);
-  for (const auto& [cached_key, cached] : shard_plans_) {
-    if (cached_key == key) return cached;
-  }
-  shard_plans_.emplace_back(key, plan);
-  return plan;
 }
 
 Result<AuthorProfile> Dataset::Profile(VertexId v) const {
@@ -196,14 +143,6 @@ Result<AuthorProfile> Dataset::Profile(VertexId v) const {
                   &rng);
   std::unique_lock<std::shared_mutex> lock(profiles_mu_);
   return profiles_.emplace(v, std::move(profile)).first->second;
-}
-
-Status Dataset::SaveIndex(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << index_.Serialize();
-  if (!out) return Status::IoError("short write to " + path);
-  return Status::Ok();
 }
 
 std::uint64_t Dataset::TotalIndexBuilds() {

@@ -12,20 +12,19 @@
 // epoch that changes only when the graph itself changes. Session-level
 // caches (the browser's community list, detection results, plug-in state)
 // are tagged with the graph epoch they were computed against — stale-cache
-// bugs become a simple integer comparison, while index-only snapshots
-// (same epoch, new id) keep those caches valid.
+// bugs become a simple integer comparison, while snapshots that change
+// storage but not the graph (a compaction, WithIndex) keep the epoch and
+// with it those caches.
 
 #ifndef CEXPLORER_EXPLORER_DATASET_H_
 #define CEXPLORER_EXPLORER_DATASET_H_
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "cltree/cltree.h"
@@ -39,10 +38,6 @@ namespace cexplorer {
 namespace delta {
 struct Access;
 }  // namespace delta
-
-namespace shard {
-struct ShardPlan;
-}  // namespace shard
 
 class Dataset;
 
@@ -62,12 +57,9 @@ class Dataset {
   static Result<DatasetPtr> FromFile(const std::string& file_path);
 
   /// A new dataset snapshot sharing this graph and core numbers but using
-  /// `index` (the /load_index path). The result has a fresh id.
+  /// `index` (e.g. the same graph re-indexed in another posting format).
+  /// The result has a fresh id and keeps the graph epoch.
   DatasetPtr WithIndex(ClTree index) const;
-
-  /// Restores an index previously saved for this exact graph (validated)
-  /// and returns the resulting snapshot.
-  Result<DatasetPtr> WithIndexFromFile(const std::string& path) const;
 
   /// Loads a full binary snapshot (snapshot/format.h): graph, core numbers
   /// and CL-tree served zero-copy from a read-only mapping of `path`. The
@@ -110,33 +102,22 @@ class Dataset {
   std::uint64_t id() const { return id_; }
 
   /// The algorithm-facing graph epoch: changes only when the *graph*
-  /// changes, so index-only snapshots (WithIndex) keep the epoch and
-  /// per-graph algorithm caches (e.g. CODICIL's clustering) stay valid.
+  /// changes, so storage-only snapshots (compaction, WithIndex) keep the
+  /// epoch and per-graph algorithm caches (e.g. CODICIL's clustering) stay
+  /// valid.
   std::uint64_t graph_epoch() const { return graph_epoch_; }
 
   /// The read-only view handed to CR algorithms. Pointers are valid as
-  /// long as this dataset is alive. When sharded execution is enabled
-  /// (CEXPLORER_SHARDS > 1), the view carries this dataset's shard plan.
+  /// long as this dataset is alive.
   ExplorerContext Context() const;
-
-  /// The partition plan for `num_shards` shards under the configured
-  /// strategy — zero-copy over this snapshot's graph, built on first use
-  /// and cached for the dataset's lifetime. Thread-safe; the plan stays
-  /// valid as long as this dataset is alive.
-  std::shared_ptr<const shard::ShardPlan> ShardedView(
-      std::uint32_t num_shards) const;
 
   /// The author profile popup of Figure 2; generated deterministically per
   /// vertex on first access, cached, and shared by all sessions.
   /// Thread-safe.
   Result<AuthorProfile> Profile(VertexId v) const;
 
-  /// Writes the CL-tree to a file; reloading via WithIndexFromFile skips
-  /// the index build for the same graph.
-  Status SaveIndex(const std::string& path) const;
-
   /// Total number of CL-tree builds performed by this process (Build and
-  /// FromFile increment it; WithIndex* do not). Lets tests assert that N
+  /// FromFile increment it; WithIndex does not). Lets tests assert that N
   /// sessions sharing a dataset triggered exactly one build.
   static std::uint64_t TotalIndexBuilds();
 
@@ -170,15 +151,6 @@ class Dataset {
   // the exclusive lock just to publish.
   mutable std::shared_mutex profiles_mu_;
   mutable std::unordered_map<VertexId, AuthorProfile> profiles_;
-
-  // Shard plans built against this snapshot, keyed by (shards, strategy).
-  // Tiny (a handful of shard counts per process), so a flat list beats a
-  // map; entries are never evicted, which is what keeps Context()'s raw
-  // shard_plan pointer valid for the dataset's lifetime.
-  mutable std::mutex shard_mu_;
-  mutable std::vector<
-      std::pair<std::uint64_t, std::shared_ptr<const shard::ShardPlan>>>
-      shard_plans_;
 };
 
 }  // namespace cexplorer

@@ -72,11 +72,7 @@ HttpResponse CExplorerServer::Dispatch(const HttpRequest& request) {
 HttpResponse CExplorerServer::DispatchRoute(
     const api::RouteSpec& route, const HttpRequest& request, bool is_v1,
     std::map<std::string, std::string>* path_params) {
-  // The /v1 path and the legacy alias can carry different method policies
-  // (e.g. save_index: POST on /v1, GET kept alive on the alias).
-  const unsigned allowed = is_v1 ? route.methods : route.LegacyMethods();
-  const unsigned method_bit = api::MethodBit(request.method);
-  if ((allowed & method_bit) == 0) {
+  if ((route.methods & api::MethodBit(request.method)) == 0) {
     return HttpResponse::Error(405, request.method + " not allowed on " +
                                         request.path);
   }
@@ -125,8 +121,6 @@ HttpResponse CExplorerServer::DispatchRoute(
       {"cluster", &CExplorerServer::BindCluster},
       {"author", &CExplorerServer::BindAuthor},
       {"export", &CExplorerServer::BindExport},
-      {"save_index", &CExplorerServer::BindSaveIndex},
-      {"load_index", &CExplorerServer::BindLoadIndex},
       {"snapshot/save", &CExplorerServer::BindSnapshotSave},
       {"snapshot/load", &CExplorerServer::BindSnapshotLoad},
       {"edges", &CExplorerServer::BindEdges},
@@ -303,20 +297,6 @@ HttpResponse CExplorerServer::BindExport(const HttpRequest& request) {
   typed.id = request.IntParam("id", 0);
   // The body is an image/svg+xml document, not JSON.
   return ToResponse(service_.ExportSvg(typed));
-}
-
-HttpResponse CExplorerServer::BindSaveIndex(const HttpRequest& request) {
-  api::DatasetRequest typed;
-  typed.session = request.Param("session");
-  typed.path = request.Param("path");
-  return ToResponse(service_.SaveIndex(typed));
-}
-
-HttpResponse CExplorerServer::BindLoadIndex(const HttpRequest& request) {
-  api::DatasetRequest typed;
-  typed.session = request.Param("session");
-  typed.path = request.Param("path");
-  return ToResponse(service_.LoadIndex(typed));
 }
 
 HttpResponse CExplorerServer::BindSnapshotSave(const HttpRequest& request) {

@@ -38,10 +38,9 @@
 //   /v1/cluster         one cluster; supports limit/cursor paging
 //   /v1/author          query-form population                (alias /author)
 //   /v1/export          cached community as SVG              (alias /export)
-//   /v1/save_index      persist the CL-tree (POST)        (alias /save_index)
-//   /v1/load_index      swap in a saved CL-tree (POST)    (alias /load_index)
 //   /v1/snapshot/save   POST: write the dataset as a zero-copy binary
-//                       snapshot (graph + cores + CL-tree, one file)
+//                       snapshot (graph + cores + CL-tree, one file) — the
+//                       one way to persist the offline index
 //   /v1/snapshot/load   POST: mmap a snapshot and swap it in for ALL
 //                       sessions — no parse, no rebuild, sub-second
 //   /v1/edges           POST: insert a batch of edges; DELETE: remove them.
@@ -171,8 +170,6 @@ class CExplorerServer {
   HttpResponse BindCluster(const HttpRequest& request);
   HttpResponse BindAuthor(const HttpRequest& request);
   HttpResponse BindExport(const HttpRequest& request);
-  HttpResponse BindSaveIndex(const HttpRequest& request);
-  HttpResponse BindLoadIndex(const HttpRequest& request);
   HttpResponse BindSnapshotSave(const HttpRequest& request);
   HttpResponse BindSnapshotLoad(const HttpRequest& request);
   HttpResponse BindEdges(const HttpRequest& request);

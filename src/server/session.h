@@ -7,11 +7,11 @@
 // they borrow the shared Dataset and copy nothing.
 //
 // Cached results are tagged with the graph epoch of the dataset snapshot
-// they were computed against (index-only snapshots share the epoch of the
-// graph they index). After /upload swaps in a new graph, a stale tag makes
+// they were computed against (a compaction keeps the epoch of the graph it
+// folds). After /upload swaps in a new graph, a stale tag makes
 // /community and /cluster refuse to serve vertex ids from the previous
-// graph instead of silently returning garbage; after /load_index the
-// caches remain valid and are kept.
+// graph instead of silently returning garbage; after /compact the caches
+// remain valid and are kept.
 //
 // Locking: SessionManager's map is guarded by its own mutex; each Session
 // carries a mutex serializing the requests of that one session. Requests of

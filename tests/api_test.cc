@@ -113,8 +113,6 @@ TEST_F(ApiFixture, SelfDescriptionMatchesAlgorithmRegistry) {
               want.caps.progress);
     EXPECT_EQ(got.Get("capabilities").Get("indexed").AsBool(),
               want.caps.indexed);
-    EXPECT_EQ(got.Get("capabilities").Get("sharded").AsBool(),
-              want.caps.sharded);
     const auto& params = got.Get("params").Items();
     ASSERT_EQ(params.size(), want.params.size()) << want.name;
     for (std::size_t p = 0; p < want.params.size(); ++p) {
@@ -211,29 +209,6 @@ TEST_F(ApiFixture, StatsReportMutationsBlock) {
   EXPECT_EQ(folded.Get("compactions").AsInt(), 1);
 }
 
-TEST_F(ApiFixture, StatsReportShardsBlock) {
-  // The shards block is always present — disabled with zeroed partition
-  // counters when CEXPLORER_SHARDS <= 1 — so clients can rely on the
-  // shape, mirroring the mutations block.
-  const JsonValue block = GetJson("GET /v1/stats").Get("shards");
-  ASSERT_TRUE(block.is_object());
-  for (const char* field :
-       {"enabled", "count", "strategy", "boundary_vertices", "cut_edges",
-        "queries", "peels", "messages_sent", "messages_received",
-        "supersteps", "last_query_supersteps"}) {
-    EXPECT_TRUE(block.Has(field)) << field;
-  }
-  EXPECT_GE(block.Get("count").AsInt(), 1);
-  const std::string strategy = block.Get("strategy").AsString();
-  EXPECT_TRUE(strategy == "range" || strategy == "hash") << strategy;
-  EXPECT_LE(block.Get("messages_received").AsInt(),
-            block.Get("messages_sent").AsInt());
-  if (!block.Get("enabled").AsBool()) {
-    EXPECT_EQ(block.Get("boundary_vertices").AsInt(), 0);
-    EXPECT_EQ(block.Get("cut_edges").AsInt(), 0);
-  }
-}
-
 TEST_F(ApiFixture, VersionReportsApiAndBuild) {
   JsonValue v = GetJson("GET /v1/version");
   EXPECT_EQ(v.Get("server").AsString(), "C-Explorer");
@@ -303,8 +278,8 @@ TEST_F(ApiFixture, EveryTableRouteIsReachable) {
 TEST_F(ApiFixture, MissingRequiredParams) {
   EXPECT_EQ(ErrorCode("GET /v1/author", 400), "INVALID_ARGUMENT");
   EXPECT_EQ(ErrorCode("GET /v1/upload", 400), "INVALID_ARGUMENT");
-  EXPECT_EQ(ErrorCode("POST /v1/save_index", 400), "INVALID_ARGUMENT");
-  EXPECT_EQ(ErrorCode("POST /v1/load_index", 400), "INVALID_ARGUMENT");
+  EXPECT_EQ(ErrorCode("POST /v1/snapshot/save", 400), "INVALID_ARGUMENT");
+  EXPECT_EQ(ErrorCode("POST /v1/snapshot/load", 400), "INVALID_ARGUMENT");
   EXPECT_EQ(ErrorCode("GET /v1/session/delete", 400), "INVALID_ARGUMENT");
   EXPECT_EQ(ErrorCode("GET /v1/explore", 400), "INVALID_ARGUMENT");
   EXPECT_EQ(ErrorCode("GET /v1/compare", 400), "INVALID_ARGUMENT");
@@ -444,10 +419,9 @@ TEST_F(ApiFixture, AliasEquivalence) {
 }
 
 TEST_F(ApiFixture, AliasEquivalenceForAdminRoutes) {
-  // upload/save_index/load_index responses embed the (monotonic) dataset
-  // id, so the twin calls are compared structurally.
+  // upload responses embed the (monotonic) dataset id, so the twin calls
+  // are compared structurally.
   const std::string graph_path = ::testing::TempDir() + "/api_alias.attr";
-  const std::string index_path = ::testing::TempDir() + "/api_alias.cl";
   ASSERT_TRUE(SaveAttributed(Figure5Graph(), graph_path).ok());
 
   JsonValue up_legacy = GetJson("GET /upload?path=" + UrlEncode(graph_path));
@@ -457,22 +431,16 @@ TEST_F(ApiFixture, AliasEquivalenceForAdminRoutes) {
   EXPECT_EQ(up_legacy.Get("vertices").AsInt(), up_v1.Get("vertices").AsInt());
   EXPECT_EQ(up_v1.Get("dataset_id").AsInt(),
             up_legacy.Get("dataset_id").AsInt() + 1);
+}
 
-  // The legacy alias keeps GET alive; the /v1 spelling is POST-only.
-  HttpResponse save_legacy =
-      Get("GET /save_index?path=" + UrlEncode(index_path));
-  HttpResponse save_v1 =
-      Get("POST /v1/save_index?path=" + UrlEncode(index_path));
-  EXPECT_EQ(save_legacy.body, save_v1.body);
-
-  JsonValue load_legacy =
-      GetJson("GET /load_index?path=" + UrlEncode(index_path));
-  JsonValue load_v1 =
-      GetJson("POST /v1/load_index?path=" + UrlEncode(index_path));
-  EXPECT_EQ(load_legacy.Get("loaded").AsString(),
-            load_v1.Get("loaded").AsString());
-  EXPECT_EQ(load_v1.Get("dataset_id").AsInt(),
-            load_legacy.Get("dataset_id").AsInt() + 1);
+TEST_F(ApiFixture, RemovedIndexFileRoutesAreNotFound) {
+  // No route persists the CL-tree on its own: /v1/snapshot/save and
+  // /v1/snapshot/load are the only persistence routes.
+  for (const char* request :
+       {"POST /v1/save_index?path=x", "POST /v1/load_index?path=x",
+        "GET /save_index?path=x", "GET /load_index?path=x"}) {
+    EXPECT_EQ(ErrorCode(request, 404), "NOT_FOUND") << request;
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Tests for the CL-tree index: structure invariants, equivalence of the
 // basic and advanced builders, query correctness against direct
-// computation, and serialization.
+// computation, and the posting formats.
 
 #include <gtest/gtest.h>
 
@@ -276,37 +276,7 @@ TEST_P(ClTreeRandomTest, VarintPostingsMatchRaw) {
   }
 }
 
-TEST_P(ClTreeRandomTest, SerializationRoundTrip) {
-  ClTree tree = ClTree::Build(graph_);
-  auto restored = ClTree::Deserialize(graph_, tree.Serialize());
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  ExpectTreesEqual(tree, restored.value());
-}
-
 INSTANTIATE_TEST_SUITE_P(Sweep, ClTreeRandomTest, ::testing::Range(0, 10));
-
-TEST(ClTreeSerializeTest, RejectsCorruptDocuments) {
-  AttributedGraph g = Figure5Graph();
-  ClTree tree = ClTree::Build(g);
-  EXPECT_FALSE(ClTree::Deserialize(g, "").ok());
-  EXPECT_FALSE(ClTree::Deserialize(g, "bogus 1 2\n").ok());
-  EXPECT_FALSE(ClTree::Deserialize(g, "cltree 1 10\nn 0 5\n").ok());  // parent
-  // Vertex anchored twice.
-  EXPECT_FALSE(
-      ClTree::Deserialize(g, "cltree 2 10\nn 0 - 0 1 2 3 4 5 6 7 8 9\nn 1 0 0\n")
-          .ok());
-  // Wrong graph (vertex count mismatch).
-  AttributedGraphBuilder b;
-  b.AddVertex("solo", {});
-  AttributedGraph tiny = b.Build();
-  EXPECT_FALSE(ClTree::Deserialize(tiny, tree.Serialize()).ok());
-}
-
-TEST(ClTreeSerializeTest, MissingVertexRejected) {
-  AttributedGraph g = Figure5Graph();
-  // A document anchoring only one vertex.
-  EXPECT_FALSE(ClTree::Deserialize(g, "cltree 1 10\nn 0 - 0\n").ok());
-}
 
 TEST(ClTreeMemoryTest, MemoryGrowsWithGraph) {
   AttributedGraph small = RandomAttributed(50, 100, 8, 1);

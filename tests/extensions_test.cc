@@ -276,59 +276,6 @@ TEST(DisplayZoomTest, CustomViewportSize) {
 }
 
 // --------------------------------------------------------------------------
-// Index persistence
-// --------------------------------------------------------------------------
-
-TEST(IndexPersistenceTest, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/fig5.cltree";
-  Explorer explorer;
-  ASSERT_TRUE(explorer.UploadGraph(Figure5Graph()).ok());
-  ASSERT_TRUE(explorer.SaveIndex(path).ok());
-
-  Explorer fresh;
-  ASSERT_TRUE(fresh.UploadGraph(Figure5Graph()).ok());
-  ASSERT_TRUE(fresh.LoadIndex(path).ok());
-  EXPECT_EQ(fresh.index().num_nodes(), explorer.index().num_nodes());
-
-  // Queries behave identically after reload.
-  Query query;
-  query.name = "a";
-  query.k = 2;
-  query.keywords = {"x", "y"};
-  auto communities = fresh.Search("ACQ", query);
-  ASSERT_TRUE(communities.ok());
-  ASSERT_EQ(communities->size(), 1u);
-  EXPECT_EQ((*communities)[0].vertices, (VertexList{0, 2, 3}));
-}
-
-TEST(IndexPersistenceTest, LoadRejectsWrongGraph) {
-  const std::string path = ::testing::TempDir() + "/karate.cltree";
-  Explorer karate_explorer;
-  AttributedGraphBuilder b;
-  Graph karate = KarateClub();
-  for (VertexId v = 0; v < karate.num_vertices(); ++v) {
-    b.AddVertex("m" + std::to_string(v), {});
-  }
-  for (const auto& [u, v] : karate.Edges()) (void)b.AddEdge(u, v);
-  ASSERT_TRUE(karate_explorer.UploadGraph(b.Build()).ok());
-  ASSERT_TRUE(karate_explorer.SaveIndex(path).ok());
-
-  Explorer fig5;
-  ASSERT_TRUE(fig5.UploadGraph(Figure5Graph()).ok());
-  EXPECT_FALSE(fig5.LoadIndex(path).ok());
-}
-
-TEST(IndexPersistenceTest, ErrorsWithoutGraphOrFile) {
-  Explorer explorer;
-  EXPECT_EQ(explorer.SaveIndex("/tmp/x").code(),
-            StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(explorer.UploadGraph(Figure5Graph()).ok());
-  EXPECT_EQ(explorer.LoadIndex("/nonexistent/index").code(),
-            StatusCode::kIoError);
-  EXPECT_FALSE(explorer.SaveIndex("/nonexistent_dir/index").ok());
-}
-
-// --------------------------------------------------------------------------
 // New server endpoints
 // --------------------------------------------------------------------------
 
@@ -359,16 +306,6 @@ TEST_F(EndpointFixture, ExportSvgEndpoint) {
   ASSERT_EQ(r.code, 200);
   EXPECT_NE(r.body.find("<svg"), std::string::npos);
   EXPECT_EQ(server_.Handle("GET /export?id=9").code, 404);
-}
-
-TEST_F(EndpointFixture, IndexPersistenceEndpoints) {
-  const std::string path = ::testing::TempDir() + "/endpoint.cltree";
-  EXPECT_EQ(server_.Handle("GET /save_index?path=" + UrlEncode(path)).code,
-            200);
-  EXPECT_EQ(server_.Handle("GET /load_index?path=" + UrlEncode(path)).code,
-            200);
-  EXPECT_EQ(server_.Handle("GET /save_index").code, 400);
-  EXPECT_EQ(server_.Handle("GET /load_index?path=%2Fnope").code, 400);
 }
 
 }  // namespace

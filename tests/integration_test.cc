@@ -161,18 +161,6 @@ TEST_F(DblpPipeline, Figure6aShapeReproduces) {
   EXPECT_GE(acq.cmf, global.cmf);
 }
 
-TEST_F(DblpPipeline, IndexSerializationRoundTripAtScale) {
-  const ClTree& tree = Engine().index();
-  auto restored = ClTree::Deserialize(Engine().graph(), tree.Serialize());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->num_nodes(), tree.num_nodes());
-  // Spot-check query equivalence.
-  VertexId q = QueryAuthor();
-  for (std::uint32_t k = 1; k <= 5; ++k) {
-    EXPECT_EQ(restored->LocateKCore(q, k), tree.LocateKCore(q, k));
-  }
-}
-
 TEST_F(DblpPipeline, ServerSessionOnDblp) {
   // Run the full browser loop against a fresh server sharing the dataset.
   CExplorerServer server;

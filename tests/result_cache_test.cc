@@ -1,7 +1,7 @@
 // Tests for the snapshot-keyed result cache behind /v1/search and
 // /v1/batch: cross-session hits with byte-identical bodies, epoch-bump
 // invalidation after /upload, misses on any parameter delta, canonicalized
-// keyword order, warm survival of index-only swaps, capacity eviction, and
+// keyword order, warm survival of compaction swaps, capacity eviction, and
 // the /v1/stats counters that surface all of it.
 
 #include <gtest/gtest.h>
@@ -107,12 +107,19 @@ TEST_F(ResultCacheFixture, MissOnParamDelta) {
   EXPECT_EQ(stats.entries, 5u);
 }
 
-TEST_F(ResultCacheFixture, IndexOnlySwapKeepsCacheWarm) {
-  const std::string path = ::testing::TempDir() + "/result_cache_index.clt";
+TEST_F(ResultCacheFixture, CompactionSwapKeepsCacheWarm) {
+  // A mutation publishes an overlay under a fresh epoch; the search after
+  // it fills the cache against that epoch.
+  Get("POST /v1/edges\n\n{\"edges\": [[8, 9]]}");
   Get("GET /v1/search?name=A&k=2&keywords=x,y");
-  Get("POST /v1/save_index?path=" + path);
-  Get("POST /v1/load_index?path=" + path);
+  const std::uint64_t epoch = server_.dataset()->graph_epoch();
+  const std::uint64_t id = server_.dataset()->id();
+  auto compacted = JsonValue::Parse(Get("POST /v1/compact").body);
+  ASSERT_TRUE(compacted.ok());
+  EXPECT_TRUE(compacted->Get("compacted").AsBool());
+  EXPECT_GT(server_.dataset()->id(), id);
   // Same graph epoch: the entry survives the snapshot swap.
+  EXPECT_EQ(server_.dataset()->graph_epoch(), epoch);
   Get("GET /v1/search?name=A&k=2&keywords=x,y");
   auto stats = Stats();
   EXPECT_EQ(stats.hits, 1u);

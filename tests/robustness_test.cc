@@ -93,22 +93,6 @@ TEST_P(FuzzSweep, AttributedParserNeverCrashes) {
   }
 }
 
-TEST_P(FuzzSweep, ClTreeDeserializeNeverCrashes) {
-  AttributedGraph g = Figure5Graph();
-  ClTree tree = ClTree::Build(g);
-  Rng rng(GetParam() * 65537 + 4);
-  const std::string seed_doc = tree.Serialize();
-  for (int trial = 0; trial < 100; ++trial) {
-    std::string doc = Mutate(seed_doc, &rng, 1 + GetParam());
-    auto parsed = ClTree::Deserialize(g, doc);
-    if (parsed.ok()) {
-      // Anything accepted must still answer queries consistently.
-      EXPECT_EQ(parsed->SubtreeVertices(parsed->root()).size(),
-                g.num_vertices());
-    }
-  }
-}
-
 TEST_P(FuzzSweep, HttpParserNeverCrashes) {
   Rng rng(GetParam() * 193 + 5);
   const std::string seed_doc =

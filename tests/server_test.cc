@@ -301,22 +301,22 @@ TEST_F(ServerFixture, UploadInvalidatesCachedCommunitiesAcrossSessions) {
   GetJson("GET /community?id=0&session=" + id);
 }
 
-TEST_F(ServerFixture, LoadIndexSwapsSnapshotForAllSessions) {
-  const std::string path = ::testing::TempDir() + "/fig5_server_index.cl";
-  GetJson("GET /save_index?path=" + UrlEncode(path));
+TEST_F(ServerFixture, CompactionSwapsSnapshotForAllSessions) {
+  GetJson("POST /v1/edges\n\n{\"edges\": [[8, 9]]}");
   const std::uint64_t before =
       static_cast<std::uint64_t>(GetJson("GET /").Get("dataset_id").AsInt());
   const std::uint64_t epoch_before = server_.dataset()->graph_epoch();
-  // Session caches computed before the index reload...
+  // Session caches computed before the compaction...
   GetJson("GET /search?name=a&k=2&keywords=x,y");
-  JsonValue loaded = GetJson("GET /load_index?path=" + UrlEncode(path));
-  EXPECT_GT(static_cast<std::uint64_t>(loaded.Get("dataset_id").AsInt()),
+  JsonValue folded = GetJson("POST /v1/compact");
+  EXPECT_TRUE(folded.Get("compacted").AsBool());
+  EXPECT_GT(static_cast<std::uint64_t>(folded.Get("dataset_id").AsInt()),
             before);
   // Same graph: the algorithm-facing epoch is preserved so per-graph
-  // plug-in caches (e.g. CODICIL's clustering) survive an index reload...
+  // plug-in caches (e.g. CODICIL's clustering) survive a compaction...
   EXPECT_EQ(server_.dataset()->graph_epoch(), epoch_before);
   // ...and so do the session's cached communities: the vertex ids are
-  // still valid, only the index snapshot changed.
+  // still valid, only the storage changed.
   GetJson("GET /community?id=0");
   // Same graph, fresh snapshot: queries still work.
   GetJson("GET /search?name=a&k=2&keywords=x,y");

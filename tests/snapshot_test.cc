@@ -314,22 +314,26 @@ TEST(SnapshotTest, SaveUnderMutationOverlayCompactsFirst) {
   EXPECT_TRUE(g.HasEdge(7, 9));
 }
 
-TEST(SnapshotTest, SaveIndexRoutesArePostOnV1GetOnLegacy) {
+TEST(SnapshotTest, ApiErrorPathsWithoutGraphOrFile) {
+  // Nothing served yet: there is no dataset to save.
+  CExplorerServer empty;
+  HttpResponse no_graph =
+      empty.Handle("POST /v1/snapshot/save?path=" + TempPath("none.snap"));
+  EXPECT_EQ(no_graph.code, 409) << no_graph.body;
+  EXPECT_NE(no_graph.body.find("CONFLICT"), std::string::npos)
+      << no_graph.body;
+  EXPECT_EQ(empty.Handle("POST /v1/snapshot/load").code, 400);
+
+  // Unwritable and unreadable paths fail without touching the served graph.
   CExplorerServer server;
   ASSERT_TRUE(server.UploadGraph(Figure5Graph()).ok());
-  const std::string path = TempPath("method_policy.cl");
-  // /v1: POST works, GET is rejected.
-  EXPECT_EQ(server.Handle("GET /v1/save_index?path=" + path).code, 405);
-  EXPECT_EQ(server.Handle("POST /v1/save_index?path=" + path).code, 200);
-  EXPECT_EQ(server.Handle("GET /v1/load_index?path=" + path).code, 405);
-  EXPECT_EQ(server.Handle("POST /v1/load_index?path=" + path).code, 200);
-  // Legacy aliases keep GET alive, flagged deprecated.
-  HttpResponse legacy = server.Handle("GET /save_index?path=" + path);
-  EXPECT_EQ(legacy.code, 200);
-  EXPECT_EQ(legacy.headers.at("Deprecation"), "true");
-  HttpResponse legacy_load = server.Handle("GET /load_index?path=" + path);
-  EXPECT_EQ(legacy_load.code, 200);
-  EXPECT_EQ(legacy_load.headers.at("Deprecation"), "true");
+  HttpResponse unwritable = server.Handle(
+      "POST /v1/snapshot/save?path=%2Fnonexistent_dir%2Fx.snap");
+  EXPECT_EQ(unwritable.code, 400) << unwritable.body;
+  HttpResponse unreadable = server.Handle(
+      "POST /v1/snapshot/load?path=%2Fnonexistent_dir%2Fx.snap");
+  EXPECT_EQ(unreadable.code, 503) << unreadable.body;
+  EXPECT_EQ(server.Handle("GET /v1/search?name=A&k=2&algo=Global").code, 200);
 }
 
 TEST(SnapshotTest, CorruptLoadThroughApiIs503AndKeepsOldDataset) {
