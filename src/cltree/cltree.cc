@@ -12,29 +12,20 @@ namespace cexplorer {
 
 namespace {
 
-/// Raw (pre-canonicalization) tree under construction: nodes in arbitrary
-/// order with parent/children links by raw index.
-struct RawTree {
-  std::vector<ClTreeRawNode> nodes;
-  ClNodeId root = kInvalidClNode;
-};
-
 // ---------------------------------------------------------------------------
 // Basic builder: top-down recursive component splitting.
 // ---------------------------------------------------------------------------
 
-RawTree BuildBasicTree(const Graph& g,
-                       const std::vector<std::uint32_t>& core) {
+ClTreeRawTree BuildBasicTree(const Graph& g,
+                             const std::vector<std::uint32_t>& core) {
   const std::size_t n = g.num_vertices();
-  RawTree raw;
+  ClTreeRawTree raw;
 
   // Root: core 0, anchoring the isolated (core-0) vertices.
-  raw.root = 0;
-  raw.nodes.emplace_back();
-  raw.nodes[0].core = 0;
   for (VertexId v = 0; v < n; ++v) {
-    if (core[v] == 0) raw.nodes[0].vertices.push_back(v);
+    if (core[v] == 0) raw.vertices.push_back(v);
   }
+  raw.root = raw.CloseNode(0);
 
   // Work item: a connected component of some k-core, to become one node
   // (at the component's minimum core number) plus its descendants.
@@ -69,7 +60,7 @@ RawTree BuildBasicTree(const Graph& g,
         }
       }
       std::sort(comp.begin(), comp.end());
-      stack.push_back({0, std::move(comp)});
+      stack.push_back({raw.root, std::move(comp)});
     }
   }
 
@@ -82,21 +73,17 @@ RawTree BuildBasicTree(const Graph& g,
     std::uint32_t kk = core[item.component.front()];
     for (VertexId v : item.component) kk = std::min(kk, core[v]);
 
-    ClNodeId id = static_cast<ClNodeId>(raw.nodes.size());
-    raw.nodes.emplace_back();
-    raw.nodes[id].core = kk;
-    raw.nodes[id].parent = item.parent;
-    raw.nodes[item.parent].children.push_back(id);
-
     VertexList higher;
     for (VertexId v : item.component) {
       if (core[v] == kk) {
-        raw.nodes[id].vertices.push_back(v);
+        raw.vertices.push_back(v);
       } else {
         higher.push_back(v);
         in_higher.Set(v);
       }
     }
+    const ClNodeId id = raw.CloseNode(kk);
+    raw.parent[id] = item.parent;
 
     // Split `higher` into connected components; each becomes a child item.
     for (VertexId v : higher) {
@@ -163,103 +150,96 @@ class UnionFind {
   std::vector<std::uint32_t> size_;
 };
 
-RawTree BuildAdvancedTree(const Graph& g,
-                          const std::vector<std::uint32_t>& core) {
+ClTreeRawTree BuildAdvancedTree(const Graph& g,
+                                const std::vector<std::uint32_t>& core) {
   const std::size_t n = g.num_vertices();
-  RawTree raw;
+  ClTreeRawTree raw;
 
-  // Bucket vertices by core number.
+  // Vertices bucketed by core number (counting sort, ascending per level).
   const std::uint32_t kmax = MaxCoreNumber(core);
-  std::vector<VertexList> by_core(kmax + 1);
-  for (VertexId v = 0; v < n; ++v) by_core[core[v]].push_back(v);
+  std::vector<std::size_t> level_begin(kmax + 2, 0);
+  for (VertexId v = 0; v < n; ++v) ++level_begin[core[v] + 1];
+  for (std::uint32_t c = 0; c <= kmax; ++c) {
+    level_begin[c + 1] += level_begin[c];
+  }
+  std::vector<VertexId> by_level(n);
+  {
+    std::vector<std::size_t> cursor(level_begin.begin(), level_begin.end() - 1);
+    for (VertexId v = 0; v < n; ++v) by_level[cursor[core[v]]++] = v;
+  }
 
+  // Per DSU root, two intrusive lists over flat arrays:
+  //   * the nodes already built inside the component (the children of the
+  //     next node built for it), linked through next_child with head/tail
+  //     per root, spliced in O(1) on union;
+  //   * the level's newly anchored vertices, linked through next_anchor,
+  //     built after the level's unions.
   UnionFind dsu(n);
   Bitset present(n);
-  // Per DSU-root bookkeeping: node ids of already-built child subtrees and
-  // vertices anchored at the level being processed. Moved (small-into-large)
-  // on union.
-  std::vector<std::vector<ClNodeId>> pend_children(n);
-  std::vector<VertexList> pend_anchored(n);
+  std::vector<ClNodeId> child_head(n, kInvalidClNode);
+  std::vector<ClNodeId> child_tail(n, kInvalidClNode);
+  std::vector<ClNodeId> next_child;
+  std::vector<VertexId> anchor_head(n, kInvalidVertex);
+  std::vector<VertexId> next_anchor(n, kInvalidVertex);
+  std::vector<VertexId> roots;
 
-  auto merge_meta = [&](VertexId survivor, VertexId absorbed) {
-    if (survivor == absorbed) return;
-    auto& cs = pend_children[survivor];
-    auto& ca = pend_children[absorbed];
-    if (cs.size() < ca.size()) cs.swap(ca);
-    cs.insert(cs.end(), ca.begin(), ca.end());
-    ca.clear();
-    ca.shrink_to_fit();
-    auto& as = pend_anchored[survivor];
-    auto& aa = pend_anchored[absorbed];
-    if (as.size() < aa.size()) as.swap(aa);
-    as.insert(as.end(), aa.begin(), aa.end());
-    aa.clear();
-    aa.shrink_to_fit();
-  };
-
-  std::vector<VertexId> affected;
   for (std::uint32_t c = kmax; c >= 1; --c) {
-    const VertexList& newly = by_core[c];
+    const std::span<const VertexId> newly(by_level.data() + level_begin[c],
+                                          level_begin[c + 1] - level_begin[c]);
     if (newly.empty()) continue;
-    for (VertexId v : newly) {
-      present.Set(v);
-      pend_anchored[v].push_back(v);
-    }
+    for (VertexId v : newly) present.Set(v);
     for (VertexId v : newly) {
       for (VertexId u : g.Neighbors(v)) {
         if (!present.Test(u)) continue;
-        VertexId rv = dsu.Find(v);
-        VertexId ru = dsu.Find(u);
+        const VertexId rv = dsu.Find(v);
+        const VertexId ru = dsu.Find(u);
         if (rv == ru) continue;
-        VertexId survivor = dsu.Union(rv, ru);
-        merge_meta(survivor, survivor == rv ? ru : rv);
+        const VertexId survivor = dsu.Union(rv, ru);
+        const VertexId absorbed = survivor == rv ? ru : rv;
+        if (child_head[absorbed] == kInvalidClNode) continue;
+        if (child_head[survivor] == kInvalidClNode) {
+          child_head[survivor] = child_head[absorbed];
+        } else {
+          next_child[child_tail[survivor]] = child_head[absorbed];
+        }
+        child_tail[survivor] = child_tail[absorbed];
+        child_head[absorbed] = child_tail[absorbed] = kInvalidClNode;
       }
     }
-    affected.clear();
-    for (VertexId v : newly) affected.push_back(dsu.Find(v));
-    std::sort(affected.begin(), affected.end());
-    affected.erase(std::unique(affected.begin(), affected.end()),
-                   affected.end());
-    for (VertexId r : affected) {
-      ClNodeId id = static_cast<ClNodeId>(raw.nodes.size());
-      raw.nodes.emplace_back();
-      raw.nodes[id].core = c;
-      raw.nodes[id].vertices = std::move(pend_anchored[r]);
-      std::sort(raw.nodes[id].vertices.begin(), raw.nodes[id].vertices.end());
-      raw.nodes[id].children = std::move(pend_children[r]);
-      for (ClNodeId child : raw.nodes[id].children) {
-        raw.nodes[child].parent = id;
+    // Group the level's vertices by component; walking them backwards
+    // leaves every list ascending.
+    roots.clear();
+    for (std::size_t i = newly.size(); i-- > 0;) {
+      const VertexId v = newly[i];
+      const VertexId r = dsu.Find(v);
+      if (anchor_head[r] == kInvalidVertex) roots.push_back(r);
+      next_anchor[v] = anchor_head[r];
+      anchor_head[r] = v;
+    }
+    for (VertexId r : roots) {
+      for (VertexId v = anchor_head[r]; v != kInvalidVertex;
+           v = next_anchor[v]) {
+        raw.vertices.push_back(v);
       }
-      pend_anchored[r] = {};
-      pend_children[r] = {id};
+      anchor_head[r] = kInvalidVertex;
+      const ClNodeId id = raw.CloseNode(c);
+      next_child.push_back(kInvalidClNode);
+      for (ClNodeId child = child_head[r]; child != kInvalidClNode;
+           child = next_child[child]) {
+        raw.parent[child] = id;
+      }
+      child_head[r] = child_tail[r] = id;
     }
   }
 
-  // Root (core 0): anchors isolated vertices; adopts every component.
-  ClNodeId root_id = static_cast<ClNodeId>(raw.nodes.size());
-  raw.nodes.emplace_back();
-  raw.nodes[root_id].core = 0;
-  raw.root = root_id;
-  if (kmax >= 1 || !by_core.empty()) {
-    for (VertexId v = 0; v < n; ++v) {
-      if (core[v] == 0) {
-        raw.nodes[root_id].vertices.push_back(v);
-      }
-    }
-  }
-  std::vector<ClNodeId> top_nodes;
+  // Root (core 0): anchors isolated vertices; adopts every component's
+  // top node (the one node left on each remaining root's list).
+  raw.vertices.insert(raw.vertices.end(), by_level.begin(),
+                      by_level.begin() +
+                          static_cast<std::ptrdiff_t>(level_begin[1]));
+  raw.root = raw.CloseNode(0);
   for (VertexId v = 0; v < n; ++v) {
-    if (core[v] >= 1 && dsu.Find(v) == v) {
-      // v is a component representative; its pending child is the subtree.
-      for (ClNodeId child : pend_children[v]) top_nodes.push_back(child);
-    }
-  }
-  std::sort(top_nodes.begin(), top_nodes.end());
-  top_nodes.erase(std::unique(top_nodes.begin(), top_nodes.end()),
-                  top_nodes.end());
-  for (ClNodeId child : top_nodes) {
-    raw.nodes[child].parent = root_id;
-    raw.nodes[root_id].children.push_back(child);
+    if (core[v] >= 1 && dsu.Find(v) == v) raw.parent[child_head[v]] = raw.root;
   }
   return raw;
 }
@@ -297,18 +277,46 @@ ClTree ClTree::Build(const AttributedGraph& g,
   if (g.num_vertices() == 0) return tree;
   const std::vector<std::uint32_t> core(core_numbers.begin(),
                                         core_numbers.end());
-  RawTree raw = method == ClTreeBuildMethod::kBasic
-                    ? BuildBasicTree(g.graph(), core)
-                    : BuildAdvancedTree(g.graph(), core);
-  tree.Finalize(g, std::move(raw.nodes), raw.root, pool, format);
+  const ClTreeRawTree raw = method == ClTreeBuildMethod::kBasic
+                                ? BuildBasicTree(g.graph(), core)
+                                : BuildAdvancedTree(g.graph(), core);
+  tree.Finalize(g, raw, pool, format);
   return tree;
 }
 
-void ClTree::Finalize(const AttributedGraph& g,
-                      std::vector<ClTreeRawNode> raw_nodes, ClNodeId raw_root,
+void ClTree::Finalize(const AttributedGraph& g, const ClTreeRawTree& raw,
                       ThreadPool* pool, PostingFormat format) {
-  const std::size_t num_raw = raw_nodes.size();
+  const std::size_t num_raw = raw.num_nodes();
+  const ClNodeId raw_root = raw.root;
   posting_format_ = format;
+  auto anchored = [&raw](ClNodeId id) {
+    return std::span<const VertexId>(
+        raw.vertices.data() + raw.vertex_begin[id],
+        raw.vertex_begin[id + 1] - raw.vertex_begin[id]);
+  };
+
+  // Child lists from the parent links: a counting sort by parent.
+  std::vector<std::uint64_t> raw_child_begin(num_raw + 1, 0);
+  for (ClNodeId parent : raw.parent) {
+    if (parent != kInvalidClNode) ++raw_child_begin[parent + 1];
+  }
+  for (std::size_t i = 0; i < num_raw; ++i) {
+    raw_child_begin[i + 1] += raw_child_begin[i];
+  }
+  std::vector<ClNodeId> raw_children(raw_child_begin[num_raw]);
+  {
+    std::vector<std::uint64_t> cursor(raw_child_begin.begin(),
+                                      raw_child_begin.end() - 1);
+    for (std::size_t i = 0; i < num_raw; ++i) {
+      if (raw.parent[i] != kInvalidClNode) {
+        raw_children[cursor[raw.parent[i]]++] = static_cast<ClNodeId>(i);
+      }
+    }
+  }
+  auto children = [&](ClNodeId id) {
+    return std::span<ClNodeId>(raw_children.data() + raw_child_begin[id],
+                               raw_child_begin[id + 1] - raw_child_begin[id]);
+  };
 
   // Pass 1 (post-order): minimum vertex in each subtree, for canonical
   // child ordering; and subtree vertex counts.
@@ -319,16 +327,15 @@ void ClTree::Finalize(const AttributedGraph& g,
     std::vector<std::pair<ClNodeId, std::size_t>> stack{{raw_root, 0}};
     while (!stack.empty()) {
       auto& [id, cursor] = stack.back();
-      if (cursor < raw_nodes[id].children.size()) {
-        ClNodeId child = raw_nodes[id].children[cursor++];
+      if (cursor < children(id).size()) {
+        ClNodeId child = children(id)[cursor++];
         stack.emplace_back(child, 0);
         continue;
       }
-      VertexId mv = raw_nodes[id].vertices.empty()
-                        ? kInvalidVertex
-                        : raw_nodes[id].vertices.front();
-      std::size_t cnt = raw_nodes[id].vertices.size();
-      for (ClNodeId child : raw_nodes[id].children) {
+      VertexId mv =
+          anchored(id).empty() ? kInvalidVertex : anchored(id).front();
+      std::size_t cnt = anchored(id).size();
+      for (ClNodeId child : children(id)) {
         mv = std::min(mv, min_vertex[child]);
         cnt += counts[child];
       }
@@ -337,11 +344,11 @@ void ClTree::Finalize(const AttributedGraph& g,
       stack.pop_back();
     }
   }
-  for (auto& node : raw_nodes) {
-    std::sort(node.children.begin(), node.children.end(),
-              [&min_vertex](ClNodeId a, ClNodeId b) {
-                return min_vertex[a] < min_vertex[b];
-              });
+  for (std::size_t i = 0; i < num_raw; ++i) {
+    auto kids = children(static_cast<ClNodeId>(i));
+    std::sort(kids.begin(), kids.end(), [&min_vertex](ClNodeId a, ClNodeId b) {
+      return min_vertex[a] < min_vertex[b];
+    });
   }
 
   // Pass 2 (pre-order): assign canonical ids.
@@ -355,8 +362,8 @@ void ClTree::Finalize(const AttributedGraph& g,
       stack.pop_back();
       new_id[id] = static_cast<ClNodeId>(order.size());
       order.push_back(id);
-      const auto& children = raw_nodes[id].children;
-      for (auto it = children.rbegin(); it != children.rend(); ++it) {
+      const auto kids = children(id);
+      for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
         stack.push_back(*it);
       }
     }
@@ -368,18 +375,19 @@ void ClTree::Finalize(const AttributedGraph& g,
   std::vector<std::uint64_t> child_begin(num_raw + 1, 0);
   std::vector<std::uint64_t> anchor_begin(num_raw + 1, 0);
   for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    const ClTreeRawNode& src = raw_nodes[order[pos]];
-    child_begin[pos + 1] = child_begin[pos] + src.children.size();
-    anchor_begin[pos + 1] = anchor_begin[pos] + src.vertices.size();
+    child_begin[pos + 1] = child_begin[pos] + children(order[pos]).size();
+    anchor_begin[pos + 1] = anchor_begin[pos] + anchored(order[pos]).size();
   }
   {
     std::vector<ClNodeId> child_arena(child_begin[num_raw]);
     std::vector<VertexId> anchor_arena(anchor_begin[num_raw]);
     for (std::size_t pos = 0; pos < order.size(); ++pos) {
-      const ClTreeRawNode& src = raw_nodes[order[pos]];
       std::uint64_t c = child_begin[pos];
-      for (ClNodeId child : src.children) child_arena[c++] = new_id[child];
-      std::copy(src.vertices.begin(), src.vertices.end(),
+      for (ClNodeId child : children(order[pos])) {
+        child_arena[c++] = new_id[child];
+      }
+      const auto vertices = anchored(order[pos]);
+      std::copy(vertices.begin(), vertices.end(),
                 anchor_arena.begin() +
                     static_cast<std::ptrdiff_t>(anchor_begin[pos]));
     }
@@ -393,10 +401,10 @@ void ClTree::Finalize(const AttributedGraph& g,
   for (std::size_t pos = 0; pos < order.size(); ++pos) {
     ClNodeId raw_id = order[pos];
     ClTreeNode& dst = nodes_[pos];
-    dst.core = raw_nodes[raw_id].core;
-    dst.parent = raw_nodes[raw_id].parent == kInvalidClNode
+    dst.core = raw.core[raw_id];
+    dst.parent = raw.parent[raw_id] == kInvalidClNode
                      ? kInvalidClNode
-                     : new_id[raw_nodes[raw_id].parent];
+                     : new_id[raw.parent[raw_id]];
     dst.children = {child_arena_.data() + child_begin[pos],
                     child_begin[pos + 1] - child_begin[pos]};
     dst.vertices = {anchor_arena_.data() + anchor_begin[pos],
@@ -417,11 +425,8 @@ void ClTree::Finalize(const AttributedGraph& g,
     }
   }
 
-  // Vertex -> node map, then the inverted-list arenas. Nodes are
-  // independent (every vertex is anchored at exactly one node), so the
-  // passes parallelize over the node array without synchronization; the
-  // output per node depends only on that node's anchored vertices, keeping
-  // the parallel build byte-identical to the sequential one.
+  // Vertex -> node map. Nodes are independent (every vertex is anchored at
+  // exactly one node), so it fills in parallel without synchronization.
   std::vector<ClNodeId> vertex_node(g.num_vertices(), kInvalidClNode);
   ParallelFor(
       0, num_raw, pool,
@@ -433,97 +438,166 @@ void ClTree::Finalize(const AttributedGraph& g,
       /*grain=*/256);
   vertex_node_ = std::move(vertex_node);
 
-  // Counting pass: sort each node's (keyword, vertex) pairs and record its
-  // distinct-keyword and postings counts, so the arenas below are sized
-  // exactly before a single element is written.
-  std::vector<std::vector<std::pair<KeywordId, VertexId>>> pairs(num_raw);
-  std::vector<std::size_t> kw_counts(num_raw, 0);
-  ParallelFor(
-      0, num_raw, pool,
-      [&](std::size_t i) {
-        auto& p = pairs[i];
-        for (VertexId v : nodes_[i].vertices) {
-          for (KeywordId kw : g.Keywords(v)) p.emplace_back(kw, v);
-        }
-        std::sort(p.begin(), p.end());
-        std::size_t distinct = 0;
-        for (std::size_t j = 0; j < p.size(); ++j) {
-          if (j == 0 || p[j].first != p[j - 1].first) ++distinct;
-        }
-        kw_counts[i] = distinct;
-      },
-      /*grain=*/16);
+  FillPostings(g, pool);
+}
+
+namespace {
+
+/// Per-thread buffers of the posting fill. `count` is indexed by keyword
+/// id and is all zeros between work items.
+struct PostingFillScratch {
+  std::vector<std::uint32_t> count;
+  std::vector<KeywordId> touched;
+  std::vector<VertexId> postings;
+};
+
+PostingFillScratch& ThreadFillScratch() {
+  thread_local PostingFillScratch scratch;
+  return scratch;
+}
+
+/// Counts the (keyword, vertex) pairs of `vertices` into s.count, listing
+/// each keyword seen in s.touched on first sight; returns the pair count.
+std::size_t CountPairs(const AttributedGraph& g,
+                       std::span<const VertexId> vertices,
+                       PostingFillScratch& s) {
+  std::size_t pairs = 0;
+  s.touched.clear();
+  for (VertexId v : vertices) {
+    const auto kws = g.Keywords(v);
+    pairs += kws.size();
+    for (KeywordId kw : kws) {
+      if (s.count[kw]++ == 0) s.touched.push_back(kw);
+    }
+  }
+  return pairs;
+}
+
+}  // namespace
+
+void ClTree::FillPostings(const AttributedGraph& g, ThreadPool* pool) {
+  const std::size_t num_nodes = nodes_.size();
+  const bool raw_postings = posting_format_ == PostingFormat::kRaw;
+  KeywordId num_keywords = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto kws = g.Keywords(v);
+    if (!kws.empty()) num_keywords = std::max(num_keywords, kws.back() + 1);
+  }
+
+  // Both passes below run over runs of consecutive nodes holding about
+  // 1/64 of the anchored vertices each, not over fixed node counts: the
+  // heavy nodes sit together at the top of the preorder, and a fixed grain
+  // would hand them all to one thread.
+  std::vector<std::size_t> run_begin{0};
+  {
+    const std::size_t target = g.num_vertices() / 64 + 1;
+    std::size_t weight = 0;
+    for (std::size_t i = 0; i < num_nodes; ++i) {
+      weight += nodes_[i].vertices.size() + 1;
+      if (weight >= target) {
+        run_begin.push_back(i + 1);
+        weight = 0;
+      }
+    }
+    if (run_begin.back() != num_nodes) run_begin.push_back(num_nodes);
+  }
+  auto for_each_node = [&](auto&& body) {
+    ParallelFor(0, run_begin.size() - 1, pool, [&](std::size_t r) {
+      for (std::size_t i = run_begin[r]; i < run_begin[r + 1]; ++i) body(i);
+    });
+  };
+
+  // Counting pass: each node's distinct-keyword and postings counts, so
+  // the arenas below are sized exactly before a single element is written.
+  std::vector<std::size_t> kw_counts(num_nodes, 0);
+  std::vector<std::size_t> post_counts(num_nodes, 0);
+  for_each_node([&](std::size_t i) {
+    PostingFillScratch& s = ThreadFillScratch();
+    if (s.count.size() < num_keywords) s.count.resize(num_keywords, 0);
+    post_counts[i] = CountPairs(g, nodes_[i].vertices, s);
+    kw_counts[i] = s.touched.size();
+    for (KeywordId kw : s.touched) s.count[kw] = 0;
+  });
 
   // Per-node arena starts (prefix sums). Postings of a node are contiguous
   // and nodes follow preorder, so node i's final offset sentinel is node
   // i+1's first offset — one shared offsets array of total_kws + 1 entries.
-  std::vector<std::size_t> kw_begin(num_raw + 1, 0);
-  std::vector<std::size_t> post_begin(num_raw + 1, 0);
-  for (std::size_t i = 0; i < num_raw; ++i) {
+  std::vector<std::size_t> kw_begin(num_nodes + 1, 0);
+  std::vector<std::size_t> post_begin(num_nodes + 1, 0);
+  for (std::size_t i = 0; i < num_nodes; ++i) {
     kw_begin[i + 1] = kw_begin[i] + kw_counts[i];
-    post_begin[i + 1] = post_begin[i] + pairs[i].size();
+    post_begin[i + 1] = post_begin[i] + post_counts[i];
   }
-  const std::size_t total_kws = kw_begin[num_raw];
-  const std::size_t total_posts = post_begin[num_raw];
+  const std::size_t total_kws = kw_begin[num_nodes];
+  const std::size_t total_posts = post_begin[num_nodes];
 
   // Exact-size allocation from the counted totals, filled in place. The
   // arenas are built in local vectors and moved into the ArrayRef members
   // once complete (the move keeps the heap buffers, so the node spans set
   // afterwards stay valid). Offsets are logical value positions in both
   // formats; the raw posting arena is only materialized in kRaw.
-  const bool raw_postings = format == PostingFormat::kRaw;
   std::vector<KeywordId> kw_arena(total_kws);
   std::vector<std::uint32_t> offset_arena(total_kws + 1);
   std::vector<VertexId> post_arena(raw_postings ? total_posts : 0);
   offset_arena[total_kws] = static_cast<std::uint32_t>(total_posts);
-  std::vector<std::uint64_t> blooms(num_raw, 0);
+  std::vector<std::uint64_t> blooms(num_nodes, 0);
 
   // Per-node encoded postings of the varint format, concatenated into the
   // byte arena after the parallel fill (the byte offsets depend on every
   // earlier node, so the concatenation is a cheap sequential pass).
-  std::vector<std::vector<std::uint8_t>> encoded(raw_postings ? 0 : num_raw);
+  std::vector<std::vector<std::uint8_t>> encoded(raw_postings ? 0 : num_nodes);
 
-  // Fill pass: every node writes its own disjoint arena slices.
-  ParallelFor(
-      0, num_raw, pool,
-      [&](std::size_t i) {
-        auto& p = pairs[i];
-        std::size_t kw_cursor = kw_begin[i];
-        std::size_t post_cursor = post_begin[i];
-        std::uint64_t bloom = 0;
-        std::size_t run_start = 0;  // start of the current keyword's run
-        for (std::size_t j = 0; j < p.size(); ++j) {
-          if (j == 0 || p[j].first != p[j - 1].first) {
-            if (!raw_postings && j != 0) {
-              // Close the previous keyword's run: encode its vertex list.
-              thread_local std::vector<VertexId> run;
-              run.clear();
-              for (std::size_t t = run_start; t < j; ++t) {
-                run.push_back(p[t].second);
-              }
-              simd::GroupVarintEncode(run, &encoded[i]);
-            }
-            run_start = j;
-            kw_arena[kw_cursor] = p[j].first;
-            offset_arena[kw_cursor] = static_cast<std::uint32_t>(post_cursor);
-            ++kw_cursor;
-            bloom |= simd::BloomMask(p[j].first);
-          }
-          if (raw_postings) post_arena[post_cursor] = p[j].second;
-          ++post_cursor;
-        }
-        if (!raw_postings && !p.empty()) {
-          thread_local std::vector<VertexId> run;
-          run.clear();
-          for (std::size_t t = run_start; t < p.size(); ++t) {
-            run.push_back(p[t].second);
-          }
-          simd::GroupVarintEncode(run, &encoded[i]);
-        }
-        blooms[i] = bloom;
-        p = {};  // release the temporary pairs eagerly
-      },
-      /*grain=*/16);
+  // Fill pass: a stable counting sort of each node's (keyword, vertex)
+  // pairs by keyword. Anchored vertices are ascending, so scattering them
+  // in order leaves every posting list sorted with no comparison sort:
+  // O(pairs + distinct keywords) per node, where the distinct keywords
+  // are ordered by a sort while few, else by a scan of the counts. Every
+  // node writes its own disjoint arena slices.
+  for_each_node([&](std::size_t i) {
+    PostingFillScratch& s = ThreadFillScratch();
+    if (s.count.size() < num_keywords) s.count.resize(num_keywords, 0);
+    const auto vertices = nodes_[i].vertices;
+    const std::size_t pairs = CountPairs(g, vertices, s);
+    if (s.touched.size() * 32 < num_keywords) {
+      std::sort(s.touched.begin(), s.touched.end());
+    } else {
+      s.touched.clear();
+      for (KeywordId kw = 0; kw < num_keywords; ++kw) {
+        if (s.count[kw] != 0) s.touched.push_back(kw);
+      }
+    }
+    // Counts become each keyword's write cursor, relative to the node.
+    std::uint64_t bloom = 0;
+    std::uint32_t cursor = 0;
+    std::size_t slot = kw_begin[i];
+    for (KeywordId kw : s.touched) {
+      kw_arena[slot] = kw;
+      offset_arena[slot++] =
+          static_cast<std::uint32_t>(post_begin[i] + cursor);
+      bloom |= simd::BloomMask(kw);
+      const std::uint32_t c = s.count[kw];
+      s.count[kw] = cursor;
+      cursor += c;
+    }
+    blooms[i] = bloom;
+    if (!raw_postings) s.postings.resize(pairs);
+    VertexId* out = raw_postings ? post_arena.data() + post_begin[i]
+                                 : s.postings.data();
+    for (VertexId v : vertices) {
+      for (KeywordId kw : g.Keywords(v)) out[s.count[kw]++] = v;
+    }
+    for (KeywordId kw : s.touched) s.count[kw] = 0;
+    if (!raw_postings) {
+      // Encode keyword by keyword; the node's last run ends at its end.
+      for (std::size_t k = kw_begin[i]; k < kw_begin[i + 1]; ++k) {
+        const std::size_t lo = offset_arena[k] - post_begin[i];
+        const std::size_t hi = (k + 1 < kw_begin[i + 1] ? offset_arena[k + 1]
+                                                        : post_begin[i + 1]) -
+                               post_begin[i];
+        simd::GroupVarintEncode({out + lo, hi - lo}, &encoded[i]);
+      }
+    }
+  });
   // Offset slots of keyword-less nodes collapse onto the next non-empty
   // node's first slot, which that node wrote with the same value; only the
   // global sentinel has no owner and was set above.
@@ -533,7 +607,7 @@ void ClTree::Finalize(const AttributedGraph& g,
   inv_posting_arena_ = std::move(post_arena);
   node_kw_bloom_ = std::move(blooms);
 
-  for (std::size_t i = 0; i < num_raw; ++i) {
+  for (std::size_t i = 0; i < num_nodes; ++i) {
     nodes_[i].inv_keywords = {inv_keyword_arena_.data() + kw_begin[i],
                               kw_counts[i]};
     nodes_[i].inv_postings = {
@@ -550,7 +624,7 @@ void ClTree::Finalize(const AttributedGraph& g,
     std::vector<std::uint8_t> comp;
     comp.reserve(total_bytes + simd::kGroupVarintPad);
     std::vector<std::uint32_t> comp_offsets(total_kws + 1, 0);
-    for (std::size_t i = 0; i < num_raw; ++i) {
+    for (std::size_t i = 0; i < num_nodes; ++i) {
       const std::size_t node_base = comp.size();
       comp.insert(comp.end(), encoded[i].begin(), encoded[i].end());
       encoded[i] = {};

@@ -123,13 +123,28 @@ struct ClTreeRepairStats {
   std::size_t postings_patched = 0;
 };
 
-/// Mutable node used while a tree is under construction (the builders);
-/// Finalize flattens these into the arena form.
-struct ClTreeRawNode {
-  std::uint32_t core = 0;
-  ClNodeId parent = kInvalidClNode;
-  std::vector<ClNodeId> children;
-  VertexList vertices;
+/// A tree under construction (the builders' output), in flat arrays: raw
+/// node i has core number core[i] and parent parent[i], and anchors the
+/// ascending vertices [vertex_begin[i], vertex_begin[i + 1]) of
+/// `vertices`. Raw ids are arbitrary; Finalize derives the child lists
+/// from the parents and canonicalizes the ids into the arena form.
+struct ClTreeRawTree {
+  std::vector<std::uint32_t> core;
+  std::vector<ClNodeId> parent;
+  std::vector<std::uint64_t> vertex_begin{0};
+  std::vector<VertexId> vertices;
+  ClNodeId root = kInvalidClNode;
+
+  std::size_t num_nodes() const { return core.size(); }
+
+  /// Appends a node with no parent yet whose anchored vertices were just
+  /// appended to `vertices`; returns its id.
+  ClNodeId CloseNode(std::uint32_t node_core) {
+    core.push_back(node_core);
+    parent.push_back(kInvalidClNode);
+    vertex_begin.push_back(vertices.size());
+    return static_cast<ClNodeId>(core.size() - 1);
+  }
 };
 
 /// Position-independent image of one ClTreeNode: every span is stored as
@@ -326,15 +341,17 @@ class ClTree {
                                   std::size_t num_graph_vertices);
 
  private:
-  friend class ClTreeBuilder;
   friend struct snapshot::Access;
 
   /// Reorders an arbitrarily-built tree into canonical preorder, fills
   /// subtree_end / subtree_sizes_ / vertex_node_ and the inverted lists
-  /// (per-node, in parallel when `pool` is non-null).
-  void Finalize(const AttributedGraph& g, std::vector<ClTreeRawNode> raw_nodes,
-                ClNodeId raw_root, ThreadPool* pool = nullptr,
-                PostingFormat format = PostingFormat::kRaw);
+  /// (in parallel when `pool` is non-null).
+  void Finalize(const AttributedGraph& g, const ClTreeRawTree& raw,
+                ThreadPool* pool, PostingFormat format);
+
+  /// Builds the inverted-list arenas of the finalized node directory in
+  /// posting_format_ (Finalize's last step).
+  void FillPostings(const AttributedGraph& g, ThreadPool* pool);
 
   /// Posting list of the global keyword slot `slot` (index into
   /// inv_keyword_arena_): a direct arena view in kRaw, decoded into `*buf`

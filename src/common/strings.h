@@ -28,12 +28,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// Lower-cases ASCII letters.
 std::string ToLower(std::string_view text);
 
-/// True iff `text` starts with `prefix`.
-bool StartsWith(std::string_view text, std::string_view prefix);
-
-/// True iff `text` ends with `suffix`.
-bool EndsWith(std::string_view text, std::string_view suffix);
-
 /// Parses a base-10 signed integer; returns false on any non-numeric input.
 bool ParseInt64(std::string_view text, std::int64_t* out);
 

@@ -56,8 +56,9 @@ Result<DatasetPtr> Dataset::Build(AttributedGraph graph) {
   dataset->core_store_ = std::make_shared<const std::vector<std::uint32_t>>(
       CoreDecomposition(dataset->graph_->graph(), pool));
   dataset->core_span_ = *dataset->core_store_;
-  dataset->index_ = ClTree::Build(*dataset->graph_, ClTreeBuildMethod::kAdvanced,
-                                  pool, ConfiguredPostingFormat());
+  dataset->index_ = ClTree::Build(*dataset->graph_, dataset->core_span_,
+                                  ClTreeBuildMethod::kAdvanced, pool,
+                                  ConfiguredPostingFormat());
   g_index_builds.fetch_add(1, std::memory_order_relaxed);
   dataset->id_ = g_next_dataset_id.fetch_add(1, std::memory_order_relaxed);
   dataset->graph_epoch_ = dataset->id_;  // a fresh graph is a fresh epoch

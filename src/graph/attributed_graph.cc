@@ -1,6 +1,7 @@
 #include "graph/attributed_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cctype>
 
@@ -24,6 +25,29 @@ int CompareLoweredTo(std::string_view a, std::string_view b_lower) {
   }
   if (a.size() == b_lower.size()) return 0;
   return a.size() < b_lower.size() ? -1 : 1;
+}
+
+char AsciiLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (AsciiLower(a[i]) != AsciiLower(b[i])) return false;
+  }
+  return true;
+}
+
+/// FNV-1a over the lower-cased bytes of `name`, folded so the low bits
+/// (the name table's slot index) depend on every byte.
+std::uint64_t NameHash(std::string_view name) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (char c : name) {
+    h ^= static_cast<unsigned char>(AsciiLower(c));
+    h *= 1099511628211ull;
+  }
+  return h ^ (h >> 29);
 }
 
 }  // namespace
@@ -104,9 +128,12 @@ VertexId AttributedGraph::FindByName(std::string_view name) const {
     }
     return *it;
   }
-  auto it = name_index_.find(ToLower(name));
-  if (it == name_index_.end()) return kInvalidVertex;
-  return it->second;
+  if (name.empty() || name_slots_.empty()) return kInvalidVertex;
+  const std::size_t mask = name_slots_.size() - 1;
+  for (std::size_t i = NameHash(name) & mask;; i = (i + 1) & mask) {
+    const VertexId v = name_slots_[i];
+    if (v == kInvalidVertex || EqualsIgnoreCase(names_[v], name)) return v;
+  }
 }
 
 std::vector<std::string> AttributedGraph::KeywordStrings(VertexId v) const {
@@ -130,8 +157,19 @@ VertexId AttributedGraphBuilder::AddVertexWithIds(
                  keywords.end());
   VertexId id = static_cast<VertexId>(names_.size());
   names_.push_back(std::move(name));
-  vertex_keywords_.push_back(std::move(keywords));
+  keyword_data_.insert(keyword_data_.end(), keywords.begin(), keywords.end());
+  keyword_offsets_.push_back(keyword_data_.size());
   return id;
+}
+
+void AttributedGraphBuilder::AddVertices(std::vector<std::string> names,
+                                         std::vector<std::uint64_t> offsets,
+                                         std::vector<KeywordId> keywords) {
+  assert(names_.empty());
+  assert(offsets.size() == names.size() + 1 && offsets.front() == 0);
+  names_ = std::move(names);
+  keyword_offsets_ = std::move(offsets);
+  keyword_data_ = std::move(keywords);
 }
 
 Status AttributedGraphBuilder::AddEdge(VertexId u, VertexId v) {
@@ -148,36 +186,35 @@ AttributedGraph AttributedGraphBuilder::Build() {
   g.graph_ = edges_.Build();
   g.vocab_ = std::move(vocab_);
   g.names_ = std::move(names_);
+  g.keyword_offsets_ = std::move(keyword_offsets_);
+  g.keyword_data_ = std::move(keyword_data_);
 
   const std::size_t n = g.names_.size();
-  std::vector<std::uint64_t> keyword_offsets(n + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    total += vertex_keywords_[v].size();
-    keyword_offsets[v + 1] = total;
-  }
-  std::vector<KeywordId> keyword_data;
-  keyword_data.reserve(total);
-  for (std::size_t v = 0; v < n; ++v) {
-    keyword_data.insert(keyword_data.end(), vertex_keywords_[v].begin(),
-                        vertex_keywords_[v].end());
-  }
-  g.keyword_offsets_ = std::move(keyword_offsets);
-  g.keyword_data_ = std::move(keyword_data);
   std::vector<std::uint64_t> keyword_fp(n);
   for (std::size_t v = 0; v < n; ++v) {
     keyword_fp[v] = simd::BloomFingerprint(g.Keywords(v));
   }
   g.keyword_fp_ = std::move(keyword_fp);
+  // Name table at load factor <= 1/2; inserting in id order keeps the
+  // first (lowest) id of each case-insensitively equal name.
+  g.name_slots_.assign(std::bit_ceil(2 * n + 1), kInvalidVertex);
+  const std::size_t mask = g.name_slots_.size() - 1;
   for (std::size_t v = 0; v < n; ++v) {
-    const std::string lower = ToLower(g.names_[v]);
-    if (!lower.empty()) {
-      g.name_index_.emplace(lower, static_cast<VertexId>(v));
+    const std::string& name = g.names_[v];
+    if (name.empty()) continue;
+    for (std::size_t i = NameHash(name) & mask;; i = (i + 1) & mask) {
+      VertexId& slot = g.name_slots_[i];
+      if (slot == kInvalidVertex) {
+        slot = static_cast<VertexId>(v);
+        break;
+      }
+      if (EqualsIgnoreCase(g.names_[slot], name)) break;
     }
   }
 
   vocab_ = Vocabulary();
-  vertex_keywords_.clear();
+  keyword_offsets_ = {0};
+  keyword_data_.clear();
   return g;
 }
 

@@ -174,10 +174,13 @@ class AttributedGraph {
   ArrayRef<KeywordId> keyword_data_;         // sorted per vertex
   ArrayRef<std::uint64_t> keyword_fp_;       // bloom fingerprint per vertex
 
-  // Names, owned mode: one string per vertex plus a lower-cased lookup map
-  // (first insertion wins, so ambiguous names resolve to the lowest id).
+  // Names, owned mode: one string per vertex plus an open-addressing table
+  // of vertex ids keyed by a case-folded hash of the name (linear probing,
+  // power-of-two size, kInvalidVertex = empty). Only the lowest id of each
+  // case-insensitively equal name is stored, so ambiguous names resolve to
+  // the lowest id.
   std::vector<std::string> names_;
-  std::unordered_map<std::string, VertexId> name_index_;
+  std::vector<VertexId> name_slots_;
 
   // Names, view mode: concatenated bytes + per-vertex bounds (n+1), and
   // the ids of non-empty-named vertices sorted by (lower-cased name, id)
@@ -216,6 +219,14 @@ class AttributedGraphBuilder {
   /// Appends an unnamed vertex with pre-interned keyword ids.
   VertexId AddVertexWithIds(std::string name, std::vector<KeywordId> keywords);
 
+  /// Adds every vertex at once to a builder that has none yet: vertex i
+  /// gets names[i] and the pre-interned ids keywords[offsets[i],
+  /// offsets[i + 1]), which must be sorted and duplicate-free. `offsets`
+  /// has names.size() + 1 entries, starting at 0.
+  void AddVertices(std::vector<std::string> names,
+                   std::vector<std::uint64_t> offsets,
+                   std::vector<KeywordId> keywords);
+
   /// Records the undirected edge {u, v}. Vertices must already exist.
   Status AddEdge(VertexId u, VertexId v);
 
@@ -231,7 +242,8 @@ class AttributedGraphBuilder {
  private:
   Vocabulary vocab_;
   std::vector<std::string> names_;
-  std::vector<std::vector<KeywordId>> vertex_keywords_;
+  std::vector<std::uint64_t> keyword_offsets_{0};  // CSR, names_.size() + 1
+  std::vector<KeywordId> keyword_data_;
   GraphBuilder edges_;
 };
 

@@ -231,13 +231,6 @@ TEST(StringsTest, ToLowerAscii) {
   EXPECT_EQ(ToLower("Jim GRAY"), "jim gray");
 }
 
-TEST(StringsTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("/search?x", "/search"));
-  EXPECT_FALSE(StartsWith("/s", "/search"));
-  EXPECT_TRUE(EndsWith("graph.txt", ".txt"));
-  EXPECT_FALSE(EndsWith("txt", ".txt"));
-}
-
 TEST(StringsTest, ParseInt64Valid) {
   std::int64_t v = 0;
   EXPECT_TRUE(ParseInt64("42", &v));

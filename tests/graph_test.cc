@@ -301,10 +301,36 @@ TEST(IoTest, EdgeListParseBasics) {
   EXPECT_EQ(g->num_edges(), 3u);
 }
 
-TEST(IoTest, EdgeListRejectsBadLines) {
-  EXPECT_FALSE(ParseEdgeList("0 1 2\n").ok());
-  EXPECT_FALSE(ParseEdgeList("a b\n").ok());
-  EXPECT_FALSE(ParseEdgeList("-1 2\n").ok());
+/// A document the parser must reject, the status code and exact message.
+struct BadDocument {
+  std::string text;
+  StatusCode code;
+  std::string message;
+};
+
+TEST(IoTest, EdgeListRejectsBadLinesWithExactMessages) {
+  const std::vector<BadDocument> cases = {
+      {"0 1 2\n", StatusCode::kParseError, "edge list line 1: expected 'u v'"},
+      {"0\n", StatusCode::kParseError, "edge list line 1: expected 'u v'"},
+      {"a b\n", StatusCode::kParseError, "edge list line 1: invalid vertex id"},
+      {"-1 2\n", StatusCode::kParseError,
+       "edge list line 1: invalid vertex id"},
+      // Ids at or above 2^32 - 1 are rejected, not truncated (this one
+      // would otherwise wrap to the self-loop 0-0 and vanish).
+      {"0 4294967296\n1 2\n", StatusCode::kParseError,
+       "edge list line 1: invalid vertex id"},
+      {"0 4294967295\n", StatusCode::kParseError,
+       "edge list line 1: invalid vertex id"},
+      // Line numbers count blank and comment lines.
+      {"0 1\n\n# note\n5\n", StatusCode::kParseError,
+       "edge list line 4: expected 'u v'"},
+  };
+  for (const BadDocument& c : cases) {
+    auto parsed = ParseEdgeList(c.text);
+    ASSERT_FALSE(parsed.ok()) << c.text;
+    EXPECT_EQ(parsed.status().code(), c.code) << c.text;
+    EXPECT_EQ(parsed.status().message(), c.message) << c.text;
+  }
 }
 
 TEST(IoTest, EdgeListRoundTrip) {
@@ -343,12 +369,219 @@ TEST(IoTest, AttributedRoundTrip) {
   }
 }
 
-TEST(IoTest, AttributedRejectsMalformed) {
-  EXPECT_FALSE(ParseAttributed("x\t0\ta\n").ok());             // bad record
-  EXPECT_FALSE(ParseAttributed("v\t0\ta\nv\t0\tb\n").ok());    // dup id
-  EXPECT_FALSE(ParseAttributed("v\t1\ta\n").ok());             // gap (no 0)
-  EXPECT_FALSE(ParseAttributed("v\t0\ta\ne\t0\t9\n").ok());    // bad endpoint
-  EXPECT_FALSE(ParseAttributed("e\t0\n").ok());                // short edge
+TEST(IoTest, AttributedRejectsMalformedWithExactMessages) {
+  const std::string v_shape =
+      "expected 'v<TAB>id<TAB>name[<TAB>keywords]'";
+  const std::vector<BadDocument> cases = {
+      {"x\t0\ta\n", StatusCode::kParseError,
+       "attributed line 1: unknown record type 'x'"},
+      {"v\t0\n", StatusCode::kParseError, "attributed line 1: " + v_shape},
+      {"v\t0\ta\tkw\textra\n", StatusCode::kParseError,
+       "attributed line 1: " + v_shape},
+      {"v\tzero\ta\n", StatusCode::kParseError,
+       "attributed line 1: invalid vertex id"},
+      {"v\t-1\ta\n", StatusCode::kParseError,
+       "attributed line 1: invalid vertex id"},
+      {"v\t4294967295\ta\n", StatusCode::kParseError,
+       "attributed line 1: invalid vertex id"},
+      {"v\t0\ta\nv\t0\tb\n", StatusCode::kParseError,
+       "attributed line 2: duplicate vertex id"},
+      {"v\t7\ta\nv\t7\tb\n", StatusCode::kParseError,
+       "attributed line 2: duplicate vertex id"},
+      {"e\t0\n", StatusCode::kParseError,
+       "attributed line 1: expected 'e<TAB>u<TAB>v'"},
+      {"e\t0\t1\t2\n", StatusCode::kParseError,
+       "attributed line 1: expected 'e<TAB>u<TAB>v'"},
+      {"e\t0\t-1\n", StatusCode::kParseError,
+       "attributed line 1: invalid edge endpoint"},
+      // 2^32 + 1 would truncate to 1 and silently become the edge 0-1.
+      {"v\t0\ta\nv\t1\tb\ne\t0\t4294967297\n", StatusCode::kParseError,
+       "attributed line 3: invalid edge endpoint"},
+      // Line numbers count blank and comment lines.
+      {"# header\n\nv\t0\ta\nq\n", StatusCode::kParseError,
+       "attributed line 4: unknown record type 'q'"},
+      // The first bad line in file order wins, whatever its kind.
+      {"v\t0\ta\nbad\nv\t0\tb\n", StatusCode::kParseError,
+       "attributed line 2: unknown record type 'bad'"},
+      {"v\t0\ta\nv\t0\tb\nbad\n", StatusCode::kParseError,
+       "attributed line 2: duplicate vertex id"},
+      // Whole-document checks, after every line parsed.
+      {"v\t1\ta\n", StatusCode::kParseError,
+       "vertex id 0 never declared (ids must be dense)"},
+      {"v\t0\ta\nv\t2\tc\nv\t3\td\n", StatusCode::kParseError,
+       "vertex id 1 never declared (ids must be dense)"},
+      // Vertex storage is sized by the 'v' line count, never by an id.
+      {"v\t3000000000\tx\n", StatusCode::kParseError,
+       "vertex id 0 never declared (ids must be dense)"},
+      {"v\t0\ta\ne\t0\t9\n", StatusCode::kInvalidArgument,
+       "edge endpoint does not exist"},
+  };
+  for (const BadDocument& c : cases) {
+    auto parsed = ParseAttributed(c.text);
+    ASSERT_FALSE(parsed.ok()) << c.text;
+    EXPECT_EQ(parsed.status().code(), c.code) << c.text;
+    EXPECT_EQ(parsed.status().message(), c.message) << c.text;
+  }
+}
+
+TEST(IoTest, AttributedFormattingVariants) {
+  // CRLF endings, comments, a missing final newline and trailing tabs all
+  // parse to the same graph as the plain document.
+  const std::string plain =
+      "v\t0\talice\tdb web\nv\t1\tbob\nv\t2\tcarol\tweb\n"
+      "e\t0\t1\ne\t1\t2\n";
+  const std::vector<std::string> variants = {
+      "v\t0\talice\tdb web\r\nv\t1\tbob\r\nv\t2\tcarol\tweb\r\n"
+      "e\t0\t1\r\ne\t1\t2\r\n",
+      "# comment\nv\t0\talice\tdb web\n  # indented comment\n"
+      "v\t1\tbob\n\nv\t2\tcarol\tweb\ne\t0\t1\ne\t1\t2\n",
+      "v\t0\talice\tdb web\nv\t1\tbob\nv\t2\tcarol\tweb\n"
+      "e\t0\t1\ne\t1\t2",
+      "v\t0\talice\tdb web\t\nv\t1\tbob\t\nv\t2\tcarol\tweb\n"
+      "e\t0\t1\t\ne\t1\t2\n",
+  };
+  auto expected = ParseAttributed(plain);
+  ASSERT_TRUE(expected.ok());
+  for (const std::string& text : variants) {
+    auto parsed = ParseAttributed(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    EXPECT_EQ(ToAttributedText(*parsed), ToAttributedText(*expected));
+  }
+  EXPECT_EQ(expected->Name(1), "bob");
+  EXPECT_EQ(expected->KeywordStrings(0),
+            (std::vector<std::string>{"db", "web"}));
+}
+
+TEST(IoTest, AttributedKeywordIdsFollowVertexIdOrder) {
+  // Lines out of order: vertex 1's keywords come first in the file, but
+  // ids are interned in first-occurrence order by vertex id.
+  auto g = ParseAttributed(
+      "v\t1\tb\tzeta alpha\nv\t0\ta\tbeta zeta beta\ne\t0\t1\n");
+  ASSERT_TRUE(g.ok());
+  const Vocabulary& vocab = g->vocabulary();
+  ASSERT_EQ(vocab.size(), 3u);
+  EXPECT_EQ(vocab.Word(0), "beta");
+  EXPECT_EQ(vocab.Word(1), "zeta");
+  EXPECT_EQ(vocab.Word(2), "alpha");
+  EXPECT_EQ(std::vector<KeywordId>(g->Keywords(0).begin(),
+                                   g->Keywords(0).end()),
+            (std::vector<KeywordId>{0, 1}));
+  EXPECT_EQ(std::vector<KeywordId>(g->Keywords(1).begin(),
+                                   g->Keywords(1).end()),
+            (std::vector<KeywordId>{1, 2}));
+}
+
+/// An attributed document of `n` vertices with a ring of edges, about
+/// 40 bytes a vertex. Documents over 128 KiB span several parse chunks
+/// (chunks are at least 64 KiB, at most 16 per document).
+std::string BigAttributedDocument(std::size_t n) {
+  std::string text;
+  for (std::size_t v = 0; v < n; ++v) {
+    text += "v\t" + std::to_string(v) + "\tAuthor " + std::to_string(v) +
+            "\tkw" + std::to_string(v % 97) + " kw" + std::to_string(v % 13) +
+            "\n";
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    text += "e\t" + std::to_string(v) + "\t" + std::to_string((v + 1) % n) +
+            "\n";
+  }
+  return text;
+}
+
+/// 1-based line number of the first line containing `needle`.
+std::size_t LineOf(const std::string& text, const std::string& needle) {
+  const std::size_t at = text.find(needle);
+  return 1 + static_cast<std::size_t>(
+                 std::count(text.begin(),
+                            text.begin() + static_cast<std::ptrdiff_t>(at),
+                            '\n'));
+}
+
+/// Replaces the line starting with `prefix` by `replacement`.
+void ReplaceLine(std::string* text, const std::string& prefix,
+                 const std::string& replacement) {
+  const std::size_t at = text->find(prefix);
+  ASSERT_NE(at, std::string::npos);
+  text->replace(at, text->find('\n', at) - at, replacement);
+}
+
+TEST(IoTest, AttributedLargeDocumentMatchesBuilder) {
+  constexpr std::size_t kN = 30000;
+  const std::string text = BigAttributedDocument(kN);
+  ASSERT_GT(text.size(), std::size_t{1} << 20);
+  AttributedGraphBuilder builder;
+  for (std::size_t v = 0; v < kN; ++v) {
+    builder.AddVertex("Author " + std::to_string(v),
+                      {"kw" + std::to_string(v % 97),
+                       "kw" + std::to_string(v % 13)});
+  }
+  for (std::size_t v = 0; v < kN; ++v) {
+    ASSERT_TRUE(builder
+                    .AddEdge(static_cast<VertexId>(v),
+                             static_cast<VertexId>((v + 1) % kN))
+                    .ok());
+  }
+  const AttributedGraph expected = builder.Build();
+  auto parsed = ParseAttributed(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  ASSERT_EQ(parsed->vocabulary().size(), expected.vocabulary().size());
+  for (KeywordId kw = 0; kw < expected.vocabulary().size(); ++kw) {
+    EXPECT_EQ(parsed->vocabulary().Word(kw), expected.vocabulary().Word(kw));
+  }
+  // Compared as a boolean: a failing EXPECT_EQ would diff megabytes.
+  EXPECT_TRUE(ToAttributedText(*parsed) == ToAttributedText(expected));
+  EXPECT_EQ(parsed->FindByName("author 29999"), 29999u);
+}
+
+TEST(IoTest, AttributedErrorsAcrossChunksReportTheFirstLine) {
+  constexpr std::size_t kN = 30000;
+  const std::string base = BigAttributedDocument(kN);
+
+  // One bad line in a late chunk.
+  std::string late = base;
+  ReplaceLine(&late, "e\t25000\t", "e\t25000");
+  auto parsed = ParseAttributed(late);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(),
+            "attributed line " + std::to_string(LineOf(late, "e\t25000\n")) +
+                ": expected 'e<TAB>u<TAB>v'");
+
+  // Two chunks fail; the earlier line wins.
+  std::string two = base;
+  ReplaceLine(&two, "v\t9000\t", "v\tnine\tx");
+  ReplaceLine(&two, "e\t20000\t", "z\t20000");
+  parsed = ParseAttributed(two);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(),
+            "attributed line " + std::to_string(LineOf(two, "v\tnine")) +
+                ": invalid vertex id");
+
+  // A duplicate id whose copies sit in the first and the last chunk.
+  std::string dup = base + "v\t5\tagain\n";
+  parsed = ParseAttributed(dup);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(),
+            "attributed line " + std::to_string(LineOf(dup, "again")) +
+                ": duplicate vertex id");
+
+  // A duplicate in a middle chunk still loses to an earlier bad line in
+  // another chunk, and beats a later one.
+  std::string dup_mid = base;
+  ReplaceLine(&dup_mid, "v\t15000\t", "v\t3\tagain");
+  std::string early = dup_mid;
+  ReplaceLine(&early, "v\t2000\t", "v\t2000");
+  parsed = ParseAttributed(early);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(),
+            "attributed line 2001: " +
+                std::string("expected 'v<TAB>id<TAB>name[<TAB>keywords]'"));
+  std::string later = dup_mid;
+  ReplaceLine(&later, "e\t100\t", "e\t100\tfar");
+  parsed = ParseAttributed(later);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(),
+            "attributed line " + std::to_string(LineOf(later, "again")) +
+                ": duplicate vertex id");
 }
 
 TEST(IoTest, AttributedFileRoundTrip) {

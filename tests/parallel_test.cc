@@ -23,6 +23,7 @@
 #include "data/planted.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/io.h"
 
 namespace cexplorer {
 namespace {
@@ -180,15 +181,10 @@ TEST(ParallelClTreeBuildTest, TreesAreIdenticalAcrossPoolSizes) {
   }
 }
 
-TEST(ParallelClTreeBuildTest, InvertedListsMatchSequential) {
-  ThreadPool four(4);
-  DblpOptions options;
-  options.num_authors = 3000;
-  options.seed = 9;
-  DblpDataset data = GenerateDblp(options);
-  ClTree seq = ClTree::Build(data.graph, ClTreeBuildMethod::kAdvanced);
-  ClTree par =
-      ClTree::Build(data.graph, ClTreeBuildMethod::kAdvanced, &four);
+/// Slot-by-slot equality of two trees' inverted lists, anchored vertices
+/// and vertex -> node maps.
+void ExpectSameInvertedLists(const ClTree& seq, const ClTree& par,
+                             std::size_t num_vertices) {
   ASSERT_EQ(seq.num_nodes(), par.num_nodes());
   for (ClNodeId i = 0; i < seq.num_nodes(); ++i) {
     // The inverted lists are span views into the tree-wide arenas; compare
@@ -210,9 +206,62 @@ TEST(ParallelClTreeBuildTest, InvertedListsMatchSequential) {
                            par_vertices.begin(), par_vertices.end()))
         << i;
   }
-  for (VertexId v = 0; v < data.graph.num_vertices(); ++v) {
+  for (VertexId v = 0; v < num_vertices; ++v) {
     ASSERT_EQ(seq.NodeOf(v), par.NodeOf(v)) << v;
   }
+}
+
+TEST(ParallelClTreeBuildTest, InvertedListsMatchSequential) {
+  ThreadPool four(4);
+  DblpOptions options;
+  options.num_authors = 3000;
+  options.seed = 9;
+  DblpDataset data = GenerateDblp(options);
+  ExpectSameInvertedLists(
+      ClTree::Build(data.graph, ClTreeBuildMethod::kAdvanced),
+      ClTree::Build(data.graph, ClTreeBuildMethod::kAdvanced, &four),
+      data.graph.num_vertices());
+}
+
+// ---------------------------------------------------------------------------
+// Parallel text parse: chunked on the pool, identical for any pool size
+// ---------------------------------------------------------------------------
+
+TEST(ParallelParseTest, DocumentParsesAndIndexesIdenticallyAcrossPoolSizes) {
+  ThreadPool one(1);
+  ThreadPool four(4);
+  DblpOptions options;
+  options.num_authors = 13000;
+  options.seed = 5;
+  const AttributedGraph source = GenerateDblp(options).graph;
+  const std::string text = ToAttributedText(source);
+  ASSERT_GE(text.size(), std::size_t{2} << 20);  // many parse chunks
+
+  auto seq = ParseAttributed(text, &one);
+  auto par = ParseAttributed(text, &four);
+  ASSERT_TRUE(seq.ok()) << seq.status().message();
+  ASSERT_TRUE(par.ok()) << par.status().message();
+  // Compared as booleans: a failing EXPECT_EQ would diff megabytes.
+  EXPECT_TRUE(ToAttributedText(*seq) == ToAttributedText(*par));
+  EXPECT_TRUE(seq->graph().Edges() == source.graph().Edges());
+  for (VertexId v = 0; v < source.num_vertices(); ++v) {
+    ASSERT_EQ(seq->Name(v), source.Name(v)) << v;
+  }
+  ASSERT_EQ(seq->vocabulary().size(), par->vocabulary().size());
+  for (KeywordId kw = 0; kw < seq->vocabulary().size(); ++kw) {
+    ASSERT_EQ(seq->vocabulary().Word(kw), par->vocabulary().Word(kw));
+  }
+  for (VertexId v = 0; v < seq->num_vertices(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(seq->Keywords(v), par->Keywords(v))) << v;
+  }
+  EXPECT_TRUE(seq->graph().Edges() == par->graph().Edges());
+
+  const ClTree seq_tree =
+      ClTree::Build(*seq, ClTreeBuildMethod::kAdvanced, &one);
+  const ClTree par_tree =
+      ClTree::Build(*par, ClTreeBuildMethod::kAdvanced, &four);
+  ExpectSameTree(seq_tree, par_tree);
+  ExpectSameInvertedLists(seq_tree, par_tree, seq->num_vertices());
 }
 
 TEST(ParallelAcqTest, AllAlgorithmsMatchSequentialOracle) {

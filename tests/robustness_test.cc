@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 
 #include "algos/global.h"
 #include "common/json.h"
@@ -131,6 +132,34 @@ INSTANTIATE_TEST_SUITE_P(Mutations, FuzzSweep, ::testing::Range(0, 6));
 // --------------------------------------------------------------------------
 // Distance-bounded Global
 // --------------------------------------------------------------------------
+
+// A one-line upload naming vertex id 3,000,000,000 once made the parser
+// size its vertex table by that id and die with an uncaught bad_alloc,
+// taking the server with it. It is a clean 400 now, and the graph that was
+// being served keeps serving.
+TEST(UploadBoundsTest, HugeVertexIdIsA400AndThePreviousGraphStays) {
+  const std::string good = ::testing::TempDir() + "/bounds_good.attr";
+  ASSERT_TRUE(SaveAttributed(Figure5Graph(), good).ok());
+  const std::string bad = ::testing::TempDir() + "/bounds_bad.attr";
+  {
+    std::ofstream out(bad, std::ios::binary);
+    out << "v\t3000000000\tx\n";
+  }
+  CExplorerServer server;
+  ASSERT_EQ(server.Handle("GET /v1/upload?path=" + UrlEncode(good)).code,
+            200);
+  const HttpResponse before = server.Handle("GET /v1/search?name=a&k=2");
+  ASSERT_EQ(before.code, 200);
+  const HttpResponse rejected =
+      server.Handle("GET /v1/upload?path=" + UrlEncode(bad));
+  EXPECT_EQ(rejected.code, 400);
+  EXPECT_NE(rejected.body.find("vertex id 0 never declared"),
+            std::string::npos)
+      << rejected.body;
+  const HttpResponse after = server.Handle("GET /v1/search?name=a&k=2");
+  EXPECT_EQ(after.code, 200);
+  EXPECT_EQ(after.body, before.body);
+}
 
 TEST(GlobalRadiusTest, InfinityMatchesUnbounded) {
   Graph g = KarateClub();
