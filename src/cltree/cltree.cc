@@ -252,27 +252,16 @@ std::span<const VertexId> ClTreeNode::Postings(KeywordId kw) const {
   return inv_postings[static_cast<std::size_t>(it - inv_keywords.begin())];
 }
 
-const char* PostingFormatName(PostingFormat format) {
-  switch (format) {
-    case PostingFormat::kRaw:
-      return "raw";
-    case PostingFormat::kVarint:
-      return "varint";
-  }
-  return "?";
-}
-
 ClTree ClTree::Build(const AttributedGraph& g, ClTreeBuildMethod method,
-                     ThreadPool* pool, PostingFormat format) {
+                     ThreadPool* pool) {
   if (g.num_vertices() == 0) return ClTree();
   const std::vector<std::uint32_t> core = CoreDecomposition(g.graph(), pool);
-  return Build(g, core, method, pool, format);
+  return Build(g, core, method, pool);
 }
 
 ClTree ClTree::Build(const AttributedGraph& g,
                      std::span<const std::uint32_t> core_numbers,
-                     ClTreeBuildMethod method, ThreadPool* pool,
-                     PostingFormat format) {
+                     ClTreeBuildMethod method, ThreadPool* pool) {
   ClTree tree;
   if (g.num_vertices() == 0) return tree;
   const std::vector<std::uint32_t> core(core_numbers.begin(),
@@ -280,15 +269,14 @@ ClTree ClTree::Build(const AttributedGraph& g,
   const ClTreeRawTree raw = method == ClTreeBuildMethod::kBasic
                                 ? BuildBasicTree(g.graph(), core)
                                 : BuildAdvancedTree(g.graph(), core);
-  tree.Finalize(g, raw, pool, format);
+  tree.Finalize(g, raw, pool);
   return tree;
 }
 
 void ClTree::Finalize(const AttributedGraph& g, const ClTreeRawTree& raw,
-                      ThreadPool* pool, PostingFormat format) {
+                      ThreadPool* pool) {
   const std::size_t num_raw = raw.num_nodes();
   const ClNodeId raw_root = raw.root;
-  posting_format_ = format;
   auto anchored = [&raw](ClNodeId id) {
     return std::span<const VertexId>(
         raw.vertices.data() + raw.vertex_begin[id],
@@ -448,7 +436,6 @@ namespace {
 struct PostingFillScratch {
   std::vector<std::uint32_t> count;
   std::vector<KeywordId> touched;
-  std::vector<VertexId> postings;
 };
 
 PostingFillScratch& ThreadFillScratch() {
@@ -477,7 +464,6 @@ std::size_t CountPairs(const AttributedGraph& g,
 
 void ClTree::FillPostings(const AttributedGraph& g, ThreadPool* pool) {
   const std::size_t num_nodes = nodes_.size();
-  const bool raw_postings = posting_format_ == PostingFormat::kRaw;
   KeywordId num_keywords = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     const auto kws = g.Keywords(v);
@@ -534,18 +520,12 @@ void ClTree::FillPostings(const AttributedGraph& g, ThreadPool* pool) {
   // Exact-size allocation from the counted totals, filled in place. The
   // arenas are built in local vectors and moved into the ArrayRef members
   // once complete (the move keeps the heap buffers, so the node spans set
-  // afterwards stay valid). Offsets are logical value positions in both
-  // formats; the raw posting arena is only materialized in kRaw.
+  // afterwards stay valid).
   std::vector<KeywordId> kw_arena(total_kws);
   std::vector<std::uint32_t> offset_arena(total_kws + 1);
-  std::vector<VertexId> post_arena(raw_postings ? total_posts : 0);
+  std::vector<VertexId> post_arena(total_posts);
   offset_arena[total_kws] = static_cast<std::uint32_t>(total_posts);
   std::vector<std::uint64_t> blooms(num_nodes, 0);
-
-  // Per-node encoded postings of the varint format, concatenated into the
-  // byte arena after the parallel fill (the byte offsets depend on every
-  // earlier node, so the concatenation is a cheap sequential pass).
-  std::vector<std::vector<std::uint8_t>> encoded(raw_postings ? 0 : num_nodes);
 
   // Fill pass: a stable counting sort of each node's (keyword, vertex)
   // pairs by keyword. Anchored vertices are ascending, so scattering them
@@ -557,7 +537,7 @@ void ClTree::FillPostings(const AttributedGraph& g, ThreadPool* pool) {
     PostingFillScratch& s = ThreadFillScratch();
     if (s.count.size() < num_keywords) s.count.resize(num_keywords, 0);
     const auto vertices = nodes_[i].vertices;
-    const std::size_t pairs = CountPairs(g, vertices, s);
+    CountPairs(g, vertices, s);
     if (s.touched.size() * 32 < num_keywords) {
       std::sort(s.touched.begin(), s.touched.end());
     } else {
@@ -580,23 +560,11 @@ void ClTree::FillPostings(const AttributedGraph& g, ThreadPool* pool) {
       cursor += c;
     }
     blooms[i] = bloom;
-    if (!raw_postings) s.postings.resize(pairs);
-    VertexId* out = raw_postings ? post_arena.data() + post_begin[i]
-                                 : s.postings.data();
+    VertexId* out = post_arena.data() + post_begin[i];
     for (VertexId v : vertices) {
       for (KeywordId kw : g.Keywords(v)) out[s.count[kw]++] = v;
     }
     for (KeywordId kw : s.touched) s.count[kw] = 0;
-    if (!raw_postings) {
-      // Encode keyword by keyword; the node's last run ends at its end.
-      for (std::size_t k = kw_begin[i]; k < kw_begin[i + 1]; ++k) {
-        const std::size_t lo = offset_arena[k] - post_begin[i];
-        const std::size_t hi = (k + 1 < kw_begin[i + 1] ? offset_arena[k + 1]
-                                                        : post_begin[i + 1]) -
-                               post_begin[i];
-        simd::GroupVarintEncode({out + lo, hi - lo}, &encoded[i]);
-      }
-    }
   });
   // Offset slots of keyword-less nodes collapse onto the next non-empty
   // node's first slot, which that node wrote with the same value; only the
@@ -610,46 +578,8 @@ void ClTree::FillPostings(const AttributedGraph& g, ThreadPool* pool) {
   for (std::size_t i = 0; i < num_nodes; ++i) {
     nodes_[i].inv_keywords = {inv_keyword_arena_.data() + kw_begin[i],
                               kw_counts[i]};
-    nodes_[i].inv_postings = {
-        inv_offset_arena_.data() + kw_begin[i],
-        raw_postings ? inv_posting_arena_.data() : nullptr, kw_counts[i]};
-  }
-
-  if (!raw_postings) {
-    // Concatenate the per-node byte streams and derive per-keyword byte
-    // offsets by re-walking each stream group by group (one control-byte
-    // scan per keyword run; cheap against the encode itself).
-    std::size_t total_bytes = 0;
-    for (const auto& e : encoded) total_bytes += e.size();
-    std::vector<std::uint8_t> comp;
-    comp.reserve(total_bytes + simd::kGroupVarintPad);
-    std::vector<std::uint32_t> comp_offsets(total_kws + 1, 0);
-    for (std::size_t i = 0; i < num_nodes; ++i) {
-      const std::size_t node_base = comp.size();
-      comp.insert(comp.end(), encoded[i].begin(), encoded[i].end());
-      encoded[i] = {};
-      std::size_t byte_cursor = node_base;
-      for (std::size_t ki = 0; ki < kw_counts[i]; ++ki) {
-        const std::size_t slot = kw_begin[i] + ki;
-        comp_offsets[slot] = static_cast<std::uint32_t>(byte_cursor);
-        std::size_t remaining =
-            inv_offset_arena_[slot + 1] - inv_offset_arena_[slot];
-        while (remaining > 0) {
-          const std::uint8_t ctrl = comp[byte_cursor++];
-          const std::size_t group = std::min<std::size_t>(4, remaining);
-          for (std::size_t t = 0; t < group; ++t) {
-            byte_cursor += ((ctrl >> (2 * t)) & 3) + 1;
-          }
-          remaining -= group;
-        }
-      }
-    }
-    comp_offsets[total_kws] = static_cast<std::uint32_t>(comp.size());
-    // SIMD decoder slack: the last group's 16-byte load may read past the
-    // stream end.
-    comp.resize(comp.size() + simd::kGroupVarintPad, 0);
-    comp_arena_ = std::move(comp);
-    comp_offset_arena_ = std::move(comp_offsets);
+    nodes_[i].inv_postings = {inv_offset_arena_.data() + kw_begin[i],
+                              inv_posting_arena_.data(), kw_counts[i]};
   }
 }
 
@@ -678,14 +608,12 @@ namespace {
 
 /// Reusable per-thread buffers of the posting query path: two result
 /// buffers the progressive intersection ping-pongs between (the kernels
-/// forbid output aliasing an input), a decode target for the varint
-/// format, and the keyword-slot list. Grown once per thread; steady-state
-/// node visits allocate nothing.
+/// forbid output aliasing an input) and the located posting lists. Grown
+/// once per thread; steady-state node visits allocate nothing.
 struct PostingScratch {
   std::vector<VertexId> ping;
   std::vector<VertexId> pong;
-  std::vector<VertexId> decode;
-  std::vector<std::size_t> slots;
+  std::vector<std::span<const VertexId>> lists;
 };
 
 PostingScratch& ThreadPostingScratch() {
@@ -695,58 +623,6 @@ PostingScratch& ThreadPostingScratch() {
 
 }  // namespace
 
-std::span<const VertexId> ClTree::PostingsAtSlot(
-    std::size_t slot, std::vector<VertexId>* buf) const {
-  const std::size_t count = inv_offset_arena_[slot + 1] -
-                            inv_offset_arena_[slot];
-  if (posting_format_ == PostingFormat::kRaw) {
-    return {inv_posting_arena_.data() + inv_offset_arena_[slot], count};
-  }
-  if (buf->size() < count) buf->resize(count);
-  simd::GroupVarintDecode(comp_arena_.data() + comp_offset_arena_[slot],
-                          count, buf->data());
-  return {buf->data(), count};
-}
-
-void ClTree::AppendPatchedNodeMatches(const NodePatch& p,
-                                      std::span<const KeywordId> kws,
-                                      VertexList* out) const {
-  // Patched twin of the slot-arithmetic body below: the node's lists live
-  // in its patch overlay (always raw, LOCAL offsets), not the tree-wide
-  // arenas. Same rarest-first progressive intersection.
-  PostingScratch& s = ThreadPostingScratch();
-  s.slots.clear();
-  for (KeywordId kw : kws) {
-    auto it = std::lower_bound(p.kws.begin(), p.kws.end(), kw);
-    if (it == p.kws.end() || *it != kw) return;
-    s.slots.push_back(static_cast<std::size_t>(it - p.kws.begin()));
-  }
-  std::sort(s.slots.begin(), s.slots.end(),
-            [&p](std::size_t a, std::size_t b) {
-              return p.offs[a + 1] - p.offs[a] < p.offs[b + 1] - p.offs[b];
-            });
-  auto list = [&p](std::size_t slot) {
-    return std::span<const VertexId>(p.posts.data() + p.offs[slot],
-                                     p.offs[slot + 1] - p.offs[slot]);
-  };
-  std::span<const VertexId> cur = list(s.slots[0]);
-  if (s.slots.size() == 1) {
-    out->insert(out->end(), cur.begin(), cur.end());
-    return;
-  }
-  const std::size_t cap = cur.size() + simd::kIntersectPad;
-  if (s.pong.size() < cap) s.pong.resize(cap);
-  if (s.ping.size() < cap) s.ping.resize(cap);
-  std::vector<VertexId>* dst = &s.ping;
-  for (std::size_t i = 1; i < s.slots.size() && !cur.empty(); ++i) {
-    const std::size_t cnt =
-        simd::IntersectSorted(cur, list(s.slots[i]), dst->data());
-    cur = {dst->data(), cnt};
-    dst = dst == &s.ping ? &s.pong : &s.ping;
-  }
-  out->insert(out->end(), cur.begin(), cur.end());
-}
-
 void ClTree::AppendNodeMatches(ClNodeId id, std::span<const KeywordId> kws,
                                std::uint64_t query_fp, VertexList* out) const {
   const ClTreeNode& node = nodes_[id];
@@ -755,51 +631,39 @@ void ClTree::AppendNodeMatches(ClNodeId id, std::span<const KeywordId> kws,
     return;
   }
   if (!simd::BloomMayContainAll(node_kw_bloom_[id], query_fp)) return;
-  if (!node_patches_.empty() && patched_bitmap_[id]) {
-    AppendPatchedNodeMatches(node_patches_.find(id)->second, kws, out);
-    return;
-  }
 
-  PostingScratch& s = ThreadPostingScratch();
-  const std::size_t kw_base = static_cast<std::size_t>(
-      node.inv_keywords.data() - inv_keyword_arena_.data());
   // Locate every keyword; bail out if any is absent from this node.
-  s.slots.clear();
+  PostingScratch& s = ThreadPostingScratch();
+  s.lists.clear();
   for (KeywordId kw : kws) {
     auto it = std::lower_bound(node.inv_keywords.begin(),
                                node.inv_keywords.end(), kw);
     if (it == node.inv_keywords.end() || *it != kw) return;
-    s.slots.push_back(
-        kw_base + static_cast<std::size_t>(it - node.inv_keywords.begin()));
+    s.lists.push_back(node.inv_postings[static_cast<std::size_t>(
+        it - node.inv_keywords.begin())]);
   }
   // Rarest-first order: starting from the shortest list keeps every
   // intermediate intersection no larger than it.
-  std::sort(s.slots.begin(), s.slots.end(),
-            [this](std::size_t a, std::size_t b) {
-              return inv_offset_arena_[a + 1] - inv_offset_arena_[a] <
-                     inv_offset_arena_[b + 1] - inv_offset_arena_[b];
+  std::sort(s.lists.begin(), s.lists.end(),
+            [](std::span<const VertexId> a, std::span<const VertexId> b) {
+              return a.size() < b.size();
             });
+  std::span<const VertexId> cur = s.lists[0];
+  if (s.lists.size() == 1) {
+    out->insert(out->end(), cur.begin(), cur.end());
+    return;
+  }
 
   // Progressive intersection, ping-ponging the running result between the
   // two scratch buffers (the kernels forbid output aliasing an input). The
   // result can only shrink, so the first list's size plus the kernels'
-  // write slack bounds every buffer. Both are sized BEFORE the first
-  // decode: in the varint format `cur` points into ping, and a later
-  // resize would reallocate under it.
-  const std::size_t cap = inv_offset_arena_[s.slots[0] + 1] -
-                          inv_offset_arena_[s.slots[0]] + simd::kIntersectPad;
+  // write slack bounds every buffer.
+  const std::size_t cap = cur.size() + simd::kIntersectPad;
   if (s.pong.size() < cap) s.pong.resize(cap);
   if (s.ping.size() < cap) s.ping.resize(cap);
-  std::span<const VertexId> cur = PostingsAtSlot(s.slots[0], &s.ping);
-  if (s.slots.size() == 1) {
-    out->insert(out->end(), cur.begin(), cur.end());
-    return;
-  }
-  std::vector<VertexId>* dst =
-      cur.data() == s.ping.data() ? &s.pong : &s.ping;
-  for (std::size_t i = 1; i < s.slots.size() && !cur.empty(); ++i) {
-    std::span<const VertexId> other = PostingsAtSlot(s.slots[i], &s.decode);
-    const std::size_t cnt = simd::IntersectSorted(cur, other, dst->data());
+  std::vector<VertexId>* dst = &s.ping;
+  for (std::size_t i = 1; i < s.lists.size() && !cur.empty(); ++i) {
+    const std::size_t cnt = simd::IntersectSorted(cur, s.lists[i], dst->data());
     cur = {dst->data(), cnt};
     dst = dst == &s.ping ? &s.pong : &s.ping;
   }
@@ -823,25 +687,19 @@ std::size_t ClTree::CountKeyword(ClNodeId id, KeywordId kw) const {
   std::size_t count = 0;
   for (ClNodeId i = id; i < nodes_[id].subtree_end; ++i) {
     if ((node_kw_bloom_[i] & mask) != mask) continue;
-    const auto& node_kws = nodes_[i].inv_keywords;
-    auto it = std::lower_bound(node_kws.begin(), node_kws.end(), kw);
-    if (it == node_kws.end() || *it != kw) continue;
-    const std::size_t local = static_cast<std::size_t>(it - node_kws.begin());
-    if (!node_patches_.empty() && patched_bitmap_[i]) {
-      const NodePatch& p = node_patches_.find(i)->second;
-      count += p.offs[local + 1] - p.offs[local];
-      continue;
-    }
-    const std::size_t slot =
-        static_cast<std::size_t>(node_kws.data() - inv_keyword_arena_.data()) +
-        local;
-    count += inv_offset_arena_[slot + 1] - inv_offset_arena_[slot];
+    const ClTreeNode& node = nodes_[i];
+    auto it = std::lower_bound(node.inv_keywords.begin(),
+                               node.inv_keywords.end(), kw);
+    if (it == node.inv_keywords.end() || *it != kw) continue;
+    count += node.inv_postings[static_cast<std::size_t>(
+                                   it - node.inv_keywords.begin())]
+                 .size();
   }
   return count;
 }
 
 std::size_t ClTree::MemoryBytes() const {
-  std::size_t patch_bytes = patched_bitmap_.size();
+  std::size_t patch_bytes = 0;
   for (const auto& [id, p] : node_patches_) {
     patch_bytes += sizeof(NodePatch) + p.vertices.size() * sizeof(VertexId) +
                    p.kws.size() * sizeof(KeywordId) +
@@ -856,8 +714,6 @@ std::size_t ClTree::MemoryBytes() const {
          inv_keyword_arena_.size() * sizeof(KeywordId) +
          inv_offset_arena_.size() * sizeof(std::uint32_t) +
          inv_posting_arena_.size() * sizeof(VertexId) +
-         comp_arena_.size() * sizeof(std::uint8_t) +
-         comp_offset_arena_.size() * sizeof(std::uint32_t) +
          node_kw_bloom_.size() * sizeof(std::uint64_t) + patch_bytes;
 }
 
@@ -872,7 +728,6 @@ void ClTree::FixPatchedNodeSpans(ClNodeId id, NodePatch& p) {
 
 ClTree ClTree::RepairedFrom(const ClTree& parent) {
   ClTree t;
-  t.posting_format_ = parent.posting_format_;
   t.repair_depth_ = parent.repair_depth_ + 1;
   t.appended_root_vertices_ = parent.appended_root_vertices_;
 
@@ -898,14 +753,10 @@ ClTree ClTree::RepairedFrom(const ClTree& parent) {
       ArrayRef<std::uint32_t>::View(parent.inv_offset_arena_.span());
   t.inv_posting_arena_ =
       ArrayRef<VertexId>::View(parent.inv_posting_arena_.span());
-  t.comp_arena_ = ArrayRef<std::uint8_t>::View(parent.comp_arena_.span());
-  t.comp_offset_arena_ =
-      ArrayRef<std::uint32_t>::View(parent.comp_offset_arena_.span());
 
   // Patch overlays are copied (they are small) and the patched nodes'
   // directory spans re-pointed at OUR copies, so the parent tree itself
   // can be destroyed.
-  t.patched_bitmap_ = parent.patched_bitmap_;
   t.node_patches_ = parent.node_patches_;
   for (auto& [id, patch] : t.node_patches_) t.FixPatchedNodeSpans(id, patch);
   return t;
@@ -914,28 +765,21 @@ ClTree ClTree::RepairedFrom(const ClTree& parent) {
 void ClTree::AppendRootVertices(const AttributedGraph& g, VertexId first,
                                 std::size_t count, ClTreeRepairStats* stats) {
   if (count == 0 || nodes_.empty()) return;
-  if (patched_bitmap_.size() < nodes_.size()) {
-    patched_bitmap_.resize(nodes_.size(), 0);
-  }
-  NodePatch& patch = node_patches_[root()];
-  if (!patched_bitmap_[root()]) {
-    // First patch of the root: materialize its current lists into the
-    // overlay (decoding varint postings once), so later merges and the
-    // query kernels see plain raw arrays.
+  const auto [slot, first_patch] = node_patches_.try_emplace(root());
+  NodePatch& patch = slot->second;
+  if (first_patch) {
+    // First patch of the root: copy its current lists into the overlay,
+    // which later merges rewrite.
     const ClTreeNode& rn = nodes_[root()];
     patch.vertices.assign(rn.vertices.begin(), rn.vertices.end());
     patch.kws.assign(rn.inv_keywords.begin(), rn.inv_keywords.end());
     patch.offs.resize(patch.kws.size() + 1);
     patch.offs[0] = 0;
-    const std::size_t kw_base = static_cast<std::size_t>(
-        rn.inv_keywords.data() - inv_keyword_arena_.data());
-    std::vector<VertexId> buf;
     for (std::size_t i = 0; i < patch.kws.size(); ++i) {
-      const auto list = PostingsAtSlot(kw_base + i, &buf);
+      const auto list = rn.inv_postings[i];
       patch.posts.insert(patch.posts.end(), list.begin(), list.end());
       patch.offs[i + 1] = static_cast<std::uint32_t>(patch.posts.size());
     }
-    patched_bitmap_[root()] = 1;
   }
 
   // Appended ids exceed every existing id, so the anchored-vertex list and
@@ -1026,7 +870,6 @@ Result<ClTree> ClTree::FromParts(const ClTreeParts& parts,
     return bad("per-node array size mismatch");
   }
   ClTree tree;
-  tree.posting_format_ = parts.format;
   if (num_nodes == 0) {
     if (num_graph_vertices != 0) return bad("empty tree over non-empty graph");
     return tree;
@@ -1037,10 +880,6 @@ Result<ClTree> ClTree::FromParts(const ClTreeParts& parts,
   const std::size_t total_kws = parts.inv_keyword_arena.size();
   if (parts.inv_offset_arena.size() != total_kws + 1) {
     return bad("inverted offset arena size mismatch");
-  }
-  const bool raw_postings = parts.format == PostingFormat::kRaw;
-  if (!raw_postings && parts.comp_offset_arena.size() != total_kws + 1) {
-    return bad("compressed offset arena size mismatch");
   }
 
   // Every record's arena slices must be in bounds and the preorder
@@ -1079,32 +918,18 @@ Result<ClTree> ClTree::FromParts(const ClTreeParts& parts,
   for (VertexId v : parts.anchor_arena) {
     if (v >= num_graph_vertices) return bad("anchored vertex out of range");
   }
-  // Offsets are logical value positions shared by both formats; they must
-  // ascend, and in the raw format the final sentinel must cover exactly
-  // the posting arena (the varint byte offsets must likewise ascend into
-  // the padded byte arena).
+  // Offsets must ascend and the final sentinel must cover exactly the
+  // posting arena.
   for (std::size_t slot = 0; slot < total_kws; ++slot) {
     if (parts.inv_offset_arena[slot] > parts.inv_offset_arena[slot + 1]) {
       return bad("posting offsets not ascending");
     }
   }
-  if (raw_postings) {
-    if (parts.inv_offset_arena[total_kws] != parts.inv_posting_arena.size()) {
-      return bad("posting arena size mismatch");
-    }
-    for (VertexId v : parts.inv_posting_arena) {
-      if (v >= num_graph_vertices) return bad("posting vertex out of range");
-    }
-  } else {
-    for (std::size_t slot = 0; slot < total_kws; ++slot) {
-      if (parts.comp_offset_arena[slot] > parts.comp_offset_arena[slot + 1]) {
-        return bad("compressed offsets not ascending");
-      }
-    }
-    if (parts.comp_offset_arena[total_kws] + simd::kGroupVarintPad >
-        parts.comp_arena.size()) {
-      return bad("compressed arena missing decoder slack");
-    }
+  if (parts.inv_offset_arena[total_kws] != parts.inv_posting_arena.size()) {
+    return bad("posting arena size mismatch");
+  }
+  for (VertexId v : parts.inv_posting_arena) {
+    if (v >= num_graph_vertices) return bad("posting vertex out of range");
   }
 
   tree.vertex_node_ = ArrayRef<ClNodeId>::View(parts.vertex_node);
@@ -1115,9 +940,6 @@ Result<ClTree> ClTree::FromParts(const ClTreeParts& parts,
   tree.inv_offset_arena_ =
       ArrayRef<std::uint32_t>::View(parts.inv_offset_arena);
   tree.inv_posting_arena_ = ArrayRef<VertexId>::View(parts.inv_posting_arena);
-  tree.comp_arena_ = ArrayRef<std::uint8_t>::View(parts.comp_arena);
-  tree.comp_offset_arena_ =
-      ArrayRef<std::uint32_t>::View(parts.comp_offset_arena);
   tree.node_kw_bloom_ = ArrayRef<std::uint64_t>::View(parts.node_kw_bloom);
 
   // Materialize the node directory: the ONE load-path allocation that
@@ -1136,10 +958,9 @@ Result<ClTree> ClTree::FromParts(const ClTreeParts& parts,
                     r.anchor_count};
     dst.inv_keywords = {tree.inv_keyword_arena_.data() + r.inv_slot_begin,
                         r.inv_count};
-    dst.inv_postings = {
-        tree.inv_offset_arena_.data() + r.inv_slot_begin,
-        raw_postings ? tree.inv_posting_arena_.data() : nullptr,
-        static_cast<std::size_t>(r.inv_count)};
+    dst.inv_postings = {tree.inv_offset_arena_.data() + r.inv_slot_begin,
+                        tree.inv_posting_arena_.data(),
+                        static_cast<std::size_t>(r.inv_count)};
   }
   return tree;
 }

@@ -40,11 +40,12 @@ using ClNodeId = std::uint32_t;
 inline constexpr ClNodeId kInvalidClNode =
     std::numeric_limits<std::uint32_t>::max();
 
-/// Indexed view of one node's posting lists inside the tree-wide CSR
-/// arenas: postings[i] (the anchored vertices containing inv_keywords[i])
-/// is the arena slice [offsets[i], offsets[i + 1]). Offsets are absolute
-/// positions in the postings arena, and `offsets` points at this node's
-/// slice of the shared offsets array (size() + 1 entries are readable).
+/// Indexed view of one node's posting lists: postings[i] (the anchored
+/// vertices containing inv_keywords[i]) is the arena slice
+/// [offsets[i], offsets[i + 1]), and size() + 1 offsets are readable. A
+/// built or loaded node views the tree-wide CSR arenas (absolute offsets
+/// into the shared postings arena); a repaired node views its own patch
+/// overlay (local offsets into the patch's postings).
 struct ClTreePostingsView {
   const std::uint32_t* offsets = nullptr;
   const VertexId* arena = nullptr;
@@ -92,8 +93,6 @@ struct ClTreeNode {
   ClTreePostingsView inv_postings;
 
   /// Posting list for `kw` among anchored vertices (empty if absent).
-  /// Raw posting format only — under PostingFormat::kVarint the raw arena
-  /// does not exist; go through ClTree::AppendNodeMatches instead.
   std::span<const VertexId> Postings(KeywordId kw) const;
 };
 
@@ -102,16 +101,6 @@ enum class ClTreeBuildMethod {
   kBasic,     ///< top-down recursive component splitting, O(m * k_max)
   kAdvanced,  ///< bottom-up union-find, near-linear (the paper's choice)
 };
-
-/// Storage format of the inverted-list postings.
-enum class PostingFormat {
-  kRaw,     ///< plain u32 arrays, zero decode cost (the default)
-  kVarint,  ///< delta + group-varint compressed, decoded into scratch on
-            ///< access — ~2-4x smaller arenas at a small decode cost
-};
-
-/// Name for stats/logging: "raw", "varint".
-const char* PostingFormatName(PostingFormat format);
 
 /// Counters of one incremental tree repair (ClTree::RepairedFrom +
 /// AppendRootVertices); the dynamic tier accumulates them into
@@ -169,7 +158,6 @@ static_assert(sizeof(ClTreeNodeRecord) == 56, "snapshot wire layout");
 /// outlive the tree; ClTree::FromParts validates every cross-reference
 /// before building node views over them.
 struct ClTreeParts {
-  PostingFormat format = PostingFormat::kRaw;
   std::span<const ClTreeNodeRecord> records;
   std::span<const ClNodeId> vertex_node;
   std::span<const std::uint64_t> subtree_sizes;
@@ -178,8 +166,6 @@ struct ClTreeParts {
   std::span<const KeywordId> inv_keyword_arena;
   std::span<const std::uint32_t> inv_offset_arena;
   std::span<const VertexId> inv_posting_arena;
-  std::span<const std::uint8_t> comp_arena;
-  std::span<const std::uint32_t> comp_offset_arena;
   std::span<const std::uint64_t> node_kw_bloom;
 };
 
@@ -210,8 +196,7 @@ class ClTree {
   /// only on its own anchored vertices.
   static ClTree Build(const AttributedGraph& g,
                       ClTreeBuildMethod method = ClTreeBuildMethod::kAdvanced,
-                      ThreadPool* pool = nullptr,
-                      PostingFormat format = PostingFormat::kRaw);
+                      ThreadPool* pool = nullptr);
 
   /// Build variant taking precomputed core numbers (size num_vertices) —
   /// the dynamic-graph path, where incremental maintenance already knows
@@ -222,8 +207,7 @@ class ClTree {
   static ClTree Build(const AttributedGraph& g,
                       std::span<const std::uint32_t> core_numbers,
                       ClTreeBuildMethod method = ClTreeBuildMethod::kAdvanced,
-                      ThreadPool* pool = nullptr,
-                      PostingFormat format = PostingFormat::kRaw);
+                      ThreadPool* pool = nullptr);
 
   /// Incremental repair: a structurally identical twin of `parent` that
   /// shares every big arena (postings, anchors, children, vertex map) as a
@@ -263,9 +247,6 @@ class ClTree {
                : static_cast<double>(node_patches_.size()) /
                      static_cast<double>(nodes_.size());
   }
-
-  /// The posting storage format this tree was built with.
-  PostingFormat posting_format() const { return posting_format_; }
 
   /// Number of nodes.
   std::size_t num_nodes() const { return nodes_.size(); }
@@ -312,10 +293,11 @@ class ClTree {
   /// Appends the anchored vertices of the single node `id` containing every
   /// keyword in the sorted list `kws` to `*out` (ascending within this
   /// node's contribution). `query_fp` must be simd::BloomFingerprint(kws).
-  /// Decode-aware: works for both posting formats, using the calling
-  /// thread's reusable decode scratch — steady-state calls allocate nothing
-  /// beyond `out` growth. This is the per-node kernel behind
-  /// CollectWithKeywords and the ACQ batch gather.
+  /// Reads the node's own list views, so built, loaded and patched nodes
+  /// take the same path; the intersection buffers are the calling thread's
+  /// reusable scratch — steady-state calls allocate nothing beyond `out`
+  /// growth. This is the per-node kernel behind CollectWithKeywords and the
+  /// ACQ batch gather.
   void AppendNodeMatches(ClNodeId id, std::span<const KeywordId> kws,
                          std::uint64_t query_fp, VertexList* out) const;
 
@@ -347,24 +329,16 @@ class ClTree {
   /// subtree_end / subtree_sizes_ / vertex_node_ and the inverted lists
   /// (in parallel when `pool` is non-null).
   void Finalize(const AttributedGraph& g, const ClTreeRawTree& raw,
-                ThreadPool* pool, PostingFormat format);
+                ThreadPool* pool);
 
-  /// Builds the inverted-list arenas of the finalized node directory in
-  /// posting_format_ (Finalize's last step).
+  /// Builds the inverted-list arenas of the finalized node directory
+  /// (Finalize's last step).
   void FillPostings(const AttributedGraph& g, ThreadPool* pool);
-
-  /// Posting list of the global keyword slot `slot` (index into
-  /// inv_keyword_arena_): a direct arena view in kRaw, decoded into `*buf`
-  /// in kVarint (buf grows once, then is reused).
-  std::span<const VertexId> PostingsAtSlot(std::size_t slot,
-                                           std::vector<VertexId>* buf) const;
 
   /// Replacement lists of one repaired node. The node's directory spans
   /// are re-pointed here, so every span-based reader (SubtreeVertices,
-  /// node().vertices, the ACQ gathers) works unchanged; only the
-  /// arena-slot arithmetic of the posting kernels needs the patched
-  /// branch. Postings are stored raw in BOTH tree formats — a patch is a
-  /// few lists, compression would buy nothing.
+  /// node().vertices, the posting kernels, the ACQ gathers) works
+  /// unchanged.
   struct NodePatch {
     VertexList vertices;              // full anchored-vertex replacement
     std::vector<KeywordId> kws;       // full keyword replacement, sorted
@@ -375,11 +349,6 @@ class ClTree {
   /// Re-points node `id`'s directory spans at `p`'s buffers (call after
   /// any mutation of the patch vectors — growth may reallocate them).
   void FixPatchedNodeSpans(ClNodeId id, NodePatch& p);
-
-  /// Patched-node twin of AppendNodeMatches' slot-arithmetic body.
-  void AppendPatchedNodeMatches(const NodePatch& p,
-                                std::span<const KeywordId> kws,
-                                VertexList* out) const;
 
   // The node directory is always a materialized vector (its spans are
   // process-local pointers), but every array it points into is an ArrayRef:
@@ -397,32 +366,22 @@ class ClTree {
   // one keyword entry per (node, distinct keyword), one offset per keyword
   // entry plus a final sentinel, and one postings entry per (anchored
   // vertex, keyword) pair. Nodes view their slices through inv_keywords /
-  // inv_postings; sized exactly from the Finalize counting pass.
-  //
-  // Offsets are always logical VALUE positions (so counts come from offset
-  // deltas in either format). In kRaw they double as positions into
-  // inv_posting_arena_; in kVarint the posting arena stays empty and the
-  // encoded bytes live in comp_arena_ at comp_offset_arena_ byte positions
-  // (with kGroupVarintPad readable slack at the end for the SIMD decoder).
-  PostingFormat posting_format_ = PostingFormat::kRaw;
+  // inv_postings; sized exactly from the Finalize counting pass. Offsets
+  // are absolute positions in inv_posting_arena_.
   ArrayRef<KeywordId> inv_keyword_arena_;
   ArrayRef<std::uint32_t> inv_offset_arena_;
   ArrayRef<VertexId> inv_posting_arena_;
-  ArrayRef<std::uint8_t> comp_arena_;
-  ArrayRef<std::uint32_t> comp_offset_arena_;
 
   // One-word keyword bloom per node (OR of simd::BloomMask over the node's
   // distinct keywords): lets subtree walks skip nodes that cannot possibly
   // anchor all query keywords with a single AND.
   ArrayRef<std::uint64_t> node_kw_bloom_;
 
-  // --- Repair state (empty on built/loaded trees; the hot paths test
-  // patched_bitmap_ only when node_patches_ is non-empty) ---------------
+  // --- Repair state (empty on built/loaded trees) ------------------------
 
   // node id -> replacement lists. unordered_map keeps element addresses
   // stable, so directory spans may point into the mapped NodePatch.
   std::unordered_map<ClNodeId, NodePatch> node_patches_;
-  std::vector<std::uint8_t> patched_bitmap_;  // 1 = node has a patch
   std::uint32_t repair_depth_ = 0;
   // Vertices appended past vertex_node_'s end, all anchored at the root
   // (core 0): keeps the vertex map a pure zero-copy view across repairs.

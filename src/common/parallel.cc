@@ -1,7 +1,11 @@
 #include "common/parallel.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 namespace cexplorer {
 
@@ -55,15 +59,27 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+std::size_t ThreadCountFromSetting(const char* text, std::size_t fallback) {
+  std::size_t count = fallback;
+  if (text != nullptr) {
+    const std::string_view s(text);
+    std::size_t parsed = 0;
+    const auto [end, ec] =
+        std::from_chars(s.data(), s.data() + s.size(), parsed);
+    // from_chars takes no sign or whitespace; a number too large for
+    // size_t is still a number, and clamps like any other.
+    if (end == s.data() + s.size() && ec != std::errc::invalid_argument) {
+      count = ec == std::errc() ? parsed : kMaxDefaultThreads;
+    }
+  }
+  return std::min(count, kMaxDefaultThreads);
+}
+
 std::size_t DefaultThreadCount() {
   static const std::size_t count = [] {
-    if (const char* env = std::getenv("CEXPLORER_THREADS")) {
-      char* end = nullptr;
-      const long parsed = std::strtol(env, &end, 10);
-      if (end != env && parsed >= 0) return static_cast<std::size_t>(parsed);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return static_cast<std::size_t>(hw == 0 ? 1 : hw);
+    return ThreadCountFromSetting(std::getenv("CEXPLORER_THREADS"),
+                                  hw == 0 ? 1 : hw);
   }();
   return count;
 }

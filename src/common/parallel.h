@@ -30,8 +30,9 @@
 //     terminates the process (fail fast beats silent loss).
 //
 // Pool sizing: DefaultPool() is a process-wide lazily-created pool sized by
-// the CEXPLORER_THREADS environment variable when set (0 or 1 disables
-// parallelism), else std::thread::hardware_concurrency().
+// the CEXPLORER_THREADS environment variable when it is a number (0 or 1
+// disables parallelism), else std::thread::hardware_concurrency(), capped
+// at kMaxDefaultThreads.
 
 #ifndef CEXPLORER_COMMON_PARALLEL_H_
 #define CEXPLORER_COMMON_PARALLEL_H_
@@ -95,6 +96,15 @@ ThreadPool* DefaultPool();
 
 /// The thread count DefaultPool() was (or would be) sized with.
 std::size_t DefaultThreadCount();
+
+/// Ceiling on the default pool size, whatever CEXPLORER_THREADS or the
+/// hardware report.
+inline constexpr std::size_t kMaxDefaultThreads = 256;
+
+/// The default pool size for a CEXPLORER_THREADS value (`text`, nullptr
+/// when unset): the value when the whole string is a non-negative decimal
+/// number, else `fallback`; either way clamped to kMaxDefaultThreads.
+std::size_t ThreadCountFromSetting(const char* text, std::size_t fallback);
 
 namespace internal {
 

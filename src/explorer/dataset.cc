@@ -1,8 +1,6 @@
 #include "explorer/dataset.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 #include "common/parallel.h"
@@ -22,24 +20,7 @@ std::atomic<std::uint64_t> g_next_dataset_id{1};
 /// CL-tree constructions performed by this process.
 std::atomic<std::uint64_t> g_index_builds{0};
 
-/// Posting storage for freshly built indexes, selectable per process with
-/// CEXPLORER_POSTING_FORMAT=raw|varint (raw when unset or unrecognized).
-PostingFormat ConfiguredPostingFormat() {
-  static const PostingFormat format = [] {
-    const char* env = std::getenv("CEXPLORER_POSTING_FORMAT");
-    if (env != nullptr && std::string_view(env) == "varint") {
-      return PostingFormat::kVarint;
-    }
-    return PostingFormat::kRaw;
-  }();
-  return format;
-}
-
 }  // namespace
-
-PostingFormat Dataset::DefaultPostingFormat() {
-  return ConfiguredPostingFormat();
-}
 
 std::uint64_t Dataset::NextId() {
   return g_next_dataset_id.fetch_add(1, std::memory_order_relaxed);
@@ -57,8 +38,7 @@ Result<DatasetPtr> Dataset::Build(AttributedGraph graph) {
       CoreDecomposition(dataset->graph_->graph(), pool));
   dataset->core_span_ = *dataset->core_store_;
   dataset->index_ = ClTree::Build(*dataset->graph_, dataset->core_span_,
-                                  ClTreeBuildMethod::kAdvanced, pool,
-                                  ConfiguredPostingFormat());
+                                  ClTreeBuildMethod::kAdvanced, pool);
   g_index_builds.fetch_add(1, std::memory_order_relaxed);
   dataset->id_ = g_next_dataset_id.fetch_add(1, std::memory_order_relaxed);
   dataset->graph_epoch_ = dataset->id_;  // a fresh graph is a fresh epoch

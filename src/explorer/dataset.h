@@ -86,11 +86,6 @@ class Dataset {
   /// the patches — so SaveSnapshot demands a compaction first.
   bool is_overlay() const { return overlay_; }
 
-  /// The process-wide default posting format for freshly built indexes
-  /// (CEXPLORER_POSTING_FORMAT=raw|varint). The dynamic-graph publisher
-  /// uses it so a mutated dataset's index matches a from-scratch rebuild.
-  static PostingFormat DefaultPostingFormat();
-
   // --- Read-only views ----------------------------------------------------
 
   const AttributedGraph& graph() const { return *graph_; }

@@ -70,12 +70,6 @@ struct Access {
   static std::span<const VertexId> TreeInvPostings(const ClTree& t) {
     return t.inv_posting_arena_.span();
   }
-  static std::span<const std::uint8_t> TreeCompArena(const ClTree& t) {
-    return t.comp_arena_.span();
-  }
-  static std::span<const std::uint32_t> TreeCompOffsets(const ClTree& t) {
-    return t.comp_offset_arena_.span();
-  }
   static std::span<const std::uint64_t> TreeNodeBlooms(const ClTree& t) {
     return t.node_kw_bloom_.span();
   }
@@ -278,14 +272,14 @@ Status WriteSnapshot(const AttributedGraph& g,
       MakeSection(SectionId::kTreeInvKeywords, Access::TreeInvKeywords(tree)),
       MakeSection(SectionId::kTreeInvOffsets, Access::TreeInvOffsets(tree)),
       MakeSection(SectionId::kTreeInvPostings, Access::TreeInvPostings(tree)),
-      MakeSection(SectionId::kTreeCompArena, Access::TreeCompArena(tree)),
-      MakeSection(SectionId::kTreeCompOffsets, Access::TreeCompOffsets(tree)),
+      // Reserved sections: always written, always empty.
+      {SectionId::kTreeCompArena, nullptr, 0},
+      {SectionId::kTreeCompOffsets, nullptr, 0},
       MakeSection(SectionId::kTreeNodeBlooms, Access::TreeNodeBlooms(tree)),
   };
 
   // Lay out: header, TOC, 64-byte-aligned payloads, 8-byte-aligned footer.
   SnapshotHeader header;
-  header.posting_format = static_cast<std::uint32_t>(tree.posting_format());
   std::vector<SectionEntry> toc(kSectionCount);
   std::uint64_t cursor = sizeof(SnapshotHeader) +
                          kSectionCount * sizeof(SectionEntry);
@@ -488,7 +482,16 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
   if (header.section_count != kSectionCount) {
     return Corrupt(path, "unexpected section count");
   }
-  if (header.posting_format > 1) return Corrupt(path, "bad posting format");
+  // The header is outside every checksum, so each field that must be zero
+  // is checked here.
+  if (header.posting_encoding != 0) {
+    return Corrupt(path, "unsupported posting encoding " +
+                             std::to_string(header.posting_encoding));
+  }
+  if (header.flags != 0) return Corrupt(path, "non-zero header flags");
+  for (std::uint64_t word : header.reserved) {
+    if (word != 0) return Corrupt(path, "non-zero reserved header word");
+  }
   const std::uint64_t toc_bytes =
       static_cast<std::uint64_t>(header.section_count) * sizeof(SectionEntry);
   if (sizeof(SnapshotHeader) + toc_bytes + sizeof(SnapshotFooter) > size) {
@@ -534,9 +537,8 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
       name_offsets, vocab_offsets, subtree_sizes, node_blooms;
   std::span<const std::uint32_t> adjacency, keyword_data, name_order,
       vocab_order, cores, vertex_node, child_arena, anchor_arena,
-      inv_keywords, inv_offsets, inv_postings, comp_offsets;
+      inv_keywords, inv_offsets, inv_postings;
   std::span<const char> name_blob, vocab_blob;
-  std::span<const std::uint8_t> comp_arena;
   std::span<const ClTreeNodeRecord> records;
   const bool typed_ok =
       TypedSpan(base, entry(SectionId::kMeta), &meta) &&
@@ -560,10 +562,12 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
       TypedSpan(base, entry(SectionId::kTreeInvKeywords), &inv_keywords) &&
       TypedSpan(base, entry(SectionId::kTreeInvOffsets), &inv_offsets) &&
       TypedSpan(base, entry(SectionId::kTreeInvPostings), &inv_postings) &&
-      TypedSpan(base, entry(SectionId::kTreeCompArena), &comp_arena) &&
-      TypedSpan(base, entry(SectionId::kTreeCompOffsets), &comp_offsets) &&
       TypedSpan(base, entry(SectionId::kTreeNodeBlooms), &node_blooms);
   if (!typed_ok) return Corrupt(path, "section length not element-aligned");
+  if (entry(SectionId::kTreeCompArena).length != 0 ||
+      entry(SectionId::kTreeCompOffsets).length != 0) {
+    return Corrupt(path, "reserved posting sections not empty");
+  }
 
   if (meta.size() != 4) return Corrupt(path, "bad meta section");
   const std::uint64_t n = meta[0];
@@ -609,8 +613,6 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
   }
 
   ClTreeParts parts;
-  parts.format = header.posting_format == 0 ? PostingFormat::kRaw
-                                            : PostingFormat::kVarint;
   parts.records = records;
   parts.vertex_node = vertex_node;
   parts.subtree_sizes = subtree_sizes;
@@ -619,8 +621,6 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
   parts.inv_keyword_arena = inv_keywords;
   parts.inv_offset_arena = inv_offsets;
   parts.inv_posting_arena = inv_postings;
-  parts.comp_arena = comp_arena;
-  parts.comp_offset_arena = comp_offsets;
   parts.node_kw_bloom = node_blooms;
   auto tree = ClTree::FromParts(parts, static_cast<std::size_t>(n));
   if (!tree.ok()) return tree.status();

@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: Status/Result, RNG, strings, JSON,
-// bitset.
+// bitset, and the default pool-size setting.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 
 #include "common/bitset.h"
 #include "common/json.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -478,6 +479,35 @@ TEST(JsonValueTest, WriterParserRoundTrip) {
   auto v = JsonValue::Parse(doc);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->Dump(), doc);
+}
+
+// --------------------------------------------------------------------------
+// Default pool size (parses the setting only; never sizes a pool)
+// --------------------------------------------------------------------------
+
+TEST(ThreadCountSettingTest, WholeNumbersAreTaken) {
+  EXPECT_EQ(ThreadCountFromSetting("4", 7), 4u);
+  EXPECT_EQ(ThreadCountFromSetting("1", 7), 1u);
+  EXPECT_EQ(ThreadCountFromSetting("0", 7), 0u);  // sequential
+}
+
+TEST(ThreadCountSettingTest, AnythingElseFallsBack) {
+  EXPECT_EQ(ThreadCountFromSetting(nullptr, 7), 7u);
+  EXPECT_EQ(ThreadCountFromSetting("", 7), 7u);
+  EXPECT_EQ(ThreadCountFromSetting("4abc", 7), 7u);
+  EXPECT_EQ(ThreadCountFromSetting("-1", 7), 7u);
+  EXPECT_EQ(ThreadCountFromSetting("+4", 7), 7u);
+  EXPECT_EQ(ThreadCountFromSetting(" 4", 7), 7u);
+  EXPECT_EQ(ThreadCountFromSetting("4 ", 7), 7u);
+}
+
+TEST(ThreadCountSettingTest, ClampedToTheCeiling) {
+  EXPECT_EQ(ThreadCountFromSetting("100000", 7), kMaxDefaultThreads);
+  EXPECT_EQ(ThreadCountFromSetting("99999999999999999999999", 7),
+            kMaxDefaultThreads);
+  EXPECT_EQ(ThreadCountFromSetting(nullptr, kMaxDefaultThreads + 1),
+            kMaxDefaultThreads);
+  EXPECT_EQ(ThreadCountFromSetting("256", 7), kMaxDefaultThreads);
 }
 
 }  // namespace

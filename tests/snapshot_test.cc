@@ -1,7 +1,7 @@
-// Tests for the zero-copy persistence tier: snapshot round trips in both
-// posting formats, byte-identical query results served from a mapped file,
-// the heap fallback, and the corruption matrix (every tampering mode must
-// fail closed with a structured UNAVAILABLE — never UB, never a partial
+// Tests for the zero-copy persistence tier: snapshot round trips,
+// byte-identical query results served from a mapped file, the heap
+// fallback, and the corruption matrix (every tampering mode must fail
+// closed with a structured UNAVAILABLE — never UB, never a partial
 // dataset).
 
 #include <gtest/gtest.h>
@@ -54,21 +54,15 @@ AttributedGraph RandomAttributed(std::size_t n, std::size_t m,
   return b.Build();
 }
 
-DatasetPtr BuildDataset(AttributedGraph graph,
-                        PostingFormat format = PostingFormat::kRaw) {
+DatasetPtr BuildDataset(AttributedGraph graph) {
   auto built = Dataset::Build(std::move(graph));
   EXPECT_TRUE(built.ok());
-  DatasetPtr dataset = built.value();
-  if (format != dataset->index().posting_format()) {
-    dataset = dataset->WithIndex(ClTree::Build(
-        dataset->graph(), ClTreeBuildMethod::kAdvanced, nullptr, format));
-  }
-  return dataset;
+  return built.value();
 }
 
 /// Full structural comparison of two datasets through the public read API:
 /// graph topology, attributes, names (including lookup), core numbers, and
-/// the CL-tree (structure + decoded postings in either format).
+/// the CL-tree (structure + postings).
 void ExpectDatasetsEquivalent(const Dataset& a, const Dataset& b) {
   const AttributedGraph& ga = a.graph();
   const AttributedGraph& gb = b.graph();
@@ -117,7 +111,7 @@ void ExpectDatasetsEquivalent(const Dataset& a, const Dataset& b) {
                            y.vertices.begin(), y.vertices.end()));
     ASSERT_TRUE(std::equal(x.inv_keywords.begin(), x.inv_keywords.end(),
                            y.inv_keywords.begin(), y.inv_keywords.end()));
-    // Decoded postings agree keyword by keyword (works in both formats).
+    // Postings agree keyword by keyword.
     for (KeywordId kw : x.inv_keywords) {
       const KeywordId kws[] = {kw};
       VertexList va, vb;
@@ -140,20 +134,13 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-class PostingFormatRoundTrip : public ::testing::TestWithParam<PostingFormat> {
-};
-
-TEST_P(PostingFormatRoundTrip, LoadedSnapshotIsEquivalent) {
-  DatasetPtr original =
-      BuildDataset(RandomAttributed(400, 1600, 40, 17), GetParam());
-  const std::string path =
-      TempPath(std::string("roundtrip_") +
-               PostingFormatName(GetParam()) + ".snap");
+TEST(SnapshotTest, LoadedSnapshotIsEquivalent) {
+  DatasetPtr original = BuildDataset(RandomAttributed(400, 1600, 40, 17));
+  const std::string path = TempPath("roundtrip.snap");
   ASSERT_TRUE(original->SaveSnapshot(path).ok());
 
   auto loaded = Dataset::FromSnapshotFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value()->index().posting_format(), GetParam());
   EXPECT_EQ(loaded.value()->storage().mode, "mmap");
   EXPECT_GT(loaded.value()->storage().file_bytes, 0u);
   ExpectDatasetsEquivalent(*original, *loaded.value());
@@ -166,13 +153,6 @@ TEST_P(PostingFormatRoundTrip, LoadedSnapshotIsEquivalent) {
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   ExpectDatasetsEquivalent(*original, *reloaded.value());
 }
-
-INSTANTIATE_TEST_SUITE_P(Formats, PostingFormatRoundTrip,
-                         ::testing::Values(PostingFormat::kRaw,
-                                           PostingFormat::kVarint),
-                         [](const auto& info) {
-                           return std::string(PostingFormatName(info.param));
-                         });
 
 TEST(SnapshotTest, HeapFallbackModeMatchesMmap) {
   DatasetPtr original = BuildDataset(Figure5Graph());
@@ -198,7 +178,7 @@ TEST(SnapshotTest, EmptyGraphRoundTrips) {
 }
 
 // --------------------------------------------------------------------------
-// Byte-identical query bodies: owned vs mapped, raw vs varint
+// Byte-identical query bodies: owned vs mapped
 // --------------------------------------------------------------------------
 
 std::vector<std::string> QuerySuite(const AttributedGraph& g) {
@@ -219,14 +199,10 @@ std::vector<std::string> QuerySuite(const AttributedGraph& g) {
   return queries;
 }
 
-TEST(SnapshotTest, SearchBodiesByteIdenticalAcrossStorageAndFormat) {
+TEST(SnapshotTest, SearchBodiesByteIdenticalAcrossStorage) {
   AttributedGraph graph = RandomAttributed(300, 1500, 30, 23);
-  DatasetPtr ds_raw = BuildDataset(graph, PostingFormat::kRaw);
-  DatasetPtr ds_var = BuildDataset(graph, PostingFormat::kVarint);
-  const std::string p_raw = TempPath("bodies_raw.snap");
-  const std::string p_var = TempPath("bodies_varint.snap");
-  ASSERT_TRUE(ds_raw->SaveSnapshot(p_raw).ok());
-  ASSERT_TRUE(ds_var->SaveSnapshot(p_var).ok());
+  const std::string path = TempPath("bodies.snap");
+  ASSERT_TRUE(BuildDataset(graph)->SaveSnapshot(path).ok());
 
   CExplorerServer owned;
   ASSERT_TRUE(owned.UploadGraph(graph).ok());
@@ -238,16 +214,13 @@ TEST(SnapshotTest, SearchBodiesByteIdenticalAcrossStorageAndFormat) {
     expected.push_back(r.body);
   }
 
-  for (const std::string& path : {p_raw, p_var}) {
-    CExplorerServer server;
-    HttpResponse loaded =
-        server.Handle("POST /v1/snapshot/load?path=" + path);
-    ASSERT_EQ(loaded.code, 200) << loaded.body;
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      HttpResponse r = server.Handle(queries[i]);
-      EXPECT_EQ(r.code, 200) << queries[i];
-      EXPECT_EQ(r.body, expected[i]) << path << " " << queries[i];
-    }
+  CExplorerServer server;
+  HttpResponse loaded = server.Handle("POST /v1/snapshot/load?path=" + path);
+  ASSERT_EQ(loaded.code, 200) << loaded.body;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    HttpResponse r = server.Handle(queries[i]);
+    EXPECT_EQ(r.code, 200) << queries[i];
+    EXPECT_EQ(r.body, expected[i]) << queries[i];
   }
 }
 
@@ -336,22 +309,6 @@ TEST(SnapshotTest, ApiErrorPathsWithoutGraphOrFile) {
   EXPECT_EQ(server.Handle("GET /v1/search?name=A&k=2&algo=Global").code, 200);
 }
 
-TEST(SnapshotTest, CorruptLoadThroughApiIs503AndKeepsOldDataset) {
-  CExplorerServer server;
-  ASSERT_TRUE(server.UploadGraph(Figure5Graph()).ok());
-  const std::string junk = TempPath("junk.snap");
-  std::ofstream(junk, std::ios::trunc) << "this is not a snapshot file";
-  HttpResponse r = server.Handle("POST /v1/snapshot/load?path=" + junk);
-  EXPECT_EQ(r.code, 503) << r.body;
-  EXPECT_NE(r.body.find("UNAVAILABLE"), std::string::npos) << r.body;
-  // The previously served dataset is untouched.
-  EXPECT_EQ(server.Handle("GET /v1/search?name=A&k=2&algo=Global").code, 200);
-}
-
-// --------------------------------------------------------------------------
-// Corruption matrix
-// --------------------------------------------------------------------------
-
 std::vector<std::uint8_t> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   EXPECT_TRUE(in.good());
@@ -368,6 +325,43 @@ void WriteFile(const std::string& path, const std::vector<std::uint8_t>& b) {
             static_cast<std::streamsize>(b.size()));
 }
 
+/// `bytes` with the u32 header field at `offset` set to `value` (the
+/// header is outside every checksum, so nothing else needs fixing up).
+std::vector<std::uint8_t> WithHeaderField(std::vector<std::uint8_t> bytes,
+                                          std::size_t offset,
+                                          std::uint32_t value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  return bytes;
+}
+
+TEST(SnapshotTest, CorruptLoadThroughApiIs503AndKeepsOldDataset) {
+  const std::string junk = TempPath("junk.snap");
+  std::ofstream(junk, std::ios::trunc) << "this is not a snapshot file";
+  // A well-formed file in a posting format this build does not read.
+  const std::string other_format = TempPath("posting_encoding_1.snap");
+  ASSERT_TRUE(BuildDataset(Figure5Graph())->SaveSnapshot(other_format).ok());
+  WriteFile(other_format,
+            WithHeaderField(ReadFile(other_format),
+                            offsetof(SnapshotHeader, posting_encoding), 1));
+
+  for (const std::string& path : {junk, other_format}) {
+    CExplorerServer server;
+    ASSERT_TRUE(server.UploadGraph(Figure5Graph()).ok());
+    const std::uint64_t served = server.dataset()->id();
+    HttpResponse r = server.Handle("POST /v1/snapshot/load?path=" + path);
+    EXPECT_EQ(r.code, 503) << path << ": " << r.body;
+    EXPECT_NE(r.body.find("UNAVAILABLE"), std::string::npos) << r.body;
+    // The previously served dataset is untouched.
+    EXPECT_EQ(server.dataset()->id(), served) << path;
+    EXPECT_EQ(server.Handle("GET /v1/search?name=A&k=2&algo=Global").code,
+              200);
+  }
+}
+
+// --------------------------------------------------------------------------
+// Corruption matrix
+// --------------------------------------------------------------------------
+
 class CorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -378,14 +372,18 @@ class CorruptionTest : public ::testing::Test {
     ASSERT_GT(good_.size(), sizeof(SnapshotHeader));
   }
 
-  /// Writes `bytes` to a scratch file and expects a clean kUnavailable.
+  /// Writes `bytes` to a scratch file and expects a clean kUnavailable
+  /// (whose message contains `reason`, when given).
   void ExpectRejected(const std::vector<std::uint8_t>& bytes,
-                      const std::string& what) {
+                      const std::string& what,
+                      const std::string& reason = "") {
     const std::string path = TempPath("corruption_case.snap");
     WriteFile(path, bytes);
     auto loaded = Dataset::FromSnapshotFile(path);
     ASSERT_FALSE(loaded.ok()) << what;
     EXPECT_EQ(loaded.status().code(), StatusCode::kUnavailable)
+        << what << ": " << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find(reason), std::string::npos)
         << what << ": " << loaded.status().ToString();
   }
 
@@ -396,6 +394,23 @@ class CorruptionTest : public ::testing::Test {
                     index * sizeof(SectionEntry),
                 sizeof(entry));
     return entry;
+  }
+
+  /// Writes `entry` over TOC slot `index` of `bytes` with a recomputed
+  /// payload checksum, then recomputes the TOC checksum: the tampering
+  /// passes every integrity check and only structural validation is left.
+  static void RewriteTocEntry(std::vector<std::uint8_t>* bytes,
+                              std::size_t index, SectionEntry entry) {
+    entry.checksum = Hash64(bytes->data() + entry.offset, entry.length);
+    std::memcpy(bytes->data() + sizeof(SnapshotHeader) +
+                    index * sizeof(SectionEntry),
+                &entry, sizeof(entry));
+    const std::size_t toc_bytes =
+        snapshot::kSectionCount * sizeof(SectionEntry);
+    const std::uint64_t toc_checksum =
+        Hash64(bytes->data() + sizeof(SnapshotHeader), toc_bytes);
+    std::memcpy(bytes->data() + offsetof(SnapshotHeader, toc_checksum),
+                &toc_checksum, sizeof(toc_checksum));
   }
 
   std::string good_path_;
@@ -424,6 +439,43 @@ TEST_F(CorruptionTest, UnsupportedVersion) {
   auto bytes = good_;
   bytes[8] = 99;  // SnapshotHeader::version
   ExpectRejected(bytes, "future format version");
+}
+
+TEST_F(CorruptionTest, NonZeroHeaderFields) {
+  // No checksum covers the header, so every field that must be zero is
+  // checked on its own.
+  ExpectRejected(
+      WithHeaderField(good_, offsetof(SnapshotHeader, posting_encoding), 1),
+      "posting_encoding 1", "unsupported posting encoding 1");
+  ExpectRejected(WithHeaderField(good_, offsetof(SnapshotHeader, flags), 1),
+                 "flags 1", "non-zero header flags");
+  for (std::size_t word = 0; word < 3; ++word) {
+    for (std::size_t half = 0; half < 2; ++half) {
+      ExpectRejected(
+          WithHeaderField(good_,
+                          offsetof(SnapshotHeader, reserved) + word * 8 +
+                              half * 4,
+                          0x80),
+          "reserved word " + std::to_string(word),
+          "non-zero reserved header word");
+    }
+  }
+}
+
+TEST_F(CorruptionTest, NonEmptyReservedSectionsWithFixedChecksums) {
+  // Sections 22 and 23 once held compressed postings; a file that fills
+  // them is rejected even when every checksum is consistent.
+  for (SectionId id : {SectionId::kTreeCompArena, SectionId::kTreeCompOffsets}) {
+    const std::size_t index = static_cast<std::size_t>(id) - 1;
+    SectionEntry entry = TocEntry(index);
+    ASSERT_EQ(entry.length, 0u);
+    entry.length = 4;  // the next section's first bytes: in bounds
+    ASSERT_LE(entry.offset + entry.length, good_.size());
+    auto bytes = good_;
+    RewriteTocEntry(&bytes, index, entry);
+    ExpectRejected(bytes, "section id " + std::to_string(entry.id),
+                   "reserved posting sections not empty");
+  }
 }
 
 TEST_F(CorruptionTest, TruncationAtEveryRegion) {
@@ -469,20 +521,11 @@ TEST_F(CorruptionTest, StructuralTamperingWithFixedChecksums) {
   auto bytes = good_;
   const std::size_t vn_index =
       static_cast<std::size_t>(SectionId::kTreeVertexNode) - 1;
-  SectionEntry entry = TocEntry(vn_index);
+  const SectionEntry entry = TocEntry(vn_index);
   ASSERT_GT(entry.length, 0u);
   const std::uint32_t bogus = 0x7FFFFFFF;
   std::memcpy(bytes.data() + entry.offset, &bogus, sizeof(bogus));
-  entry.checksum = Hash64(bytes.data() + entry.offset, entry.length);
-  std::memcpy(bytes.data() + sizeof(SnapshotHeader) +
-                  vn_index * sizeof(SectionEntry),
-              &entry, sizeof(entry));
-  const std::size_t toc_bytes =
-      snapshot::kSectionCount * sizeof(SectionEntry);
-  const std::uint64_t toc_checksum =
-      Hash64(bytes.data() + sizeof(SnapshotHeader), toc_bytes);
-  std::memcpy(bytes.data() + offsetof(SnapshotHeader, toc_checksum),
-              &toc_checksum, sizeof(toc_checksum));
+  RewriteTocEntry(&bytes, vn_index, entry);
   ExpectRejected(bytes, "out-of-range vertex_node with valid checksums");
 }
 
